@@ -59,6 +59,7 @@ from typing import Any, Collection, Sequence
 
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import EngineShard
+from repro.cluster.wire import Event
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.events import EventHandle, Simulator
 
@@ -235,20 +236,21 @@ class IngestBus:
     def apply_entries(self, index: int, entries: Sequence) -> int:
         """Replay one WAL batch through the normal apply machinery.
 
-        ``entries`` are decoded WAL entries — ``["w", variable, value]``
-        or ``["e", event_type, subject, only]`` — applied with the exact
-        drain semantics (consecutive writes as one batched run, events
-        as barriers), so replay reproduces the counter deltas and
-        evaluation order of the original drain.  Returns the number of
-        entries applied."""
+        ``entries`` are a decoded batch record's entries —
+        ``(variable, value)`` pairs and :class:`~repro.cluster.wire.Event`
+        entries — applied with the exact drain semantics (consecutive
+        writes as one batched run, events as barriers), so replay
+        reproduces the counter deltas and evaluation order of the
+        original drain.  Returns the number of entries applied."""
         run: list[tuple[str, Any]] = []
         for entry in entries:
-            if entry[0] == "w":
-                run.append((entry[1], entry[2]))
-                continue
-            self._flush_run(index, run)
-            self._apply(index, _Event(entry[1], entry[2], entry[3]))
+            if isinstance(entry, Event):
+                self._flush_run(index, run)
+                self._apply(index, _Event(*entry))
+            else:
+                run.append(entry)
         self._flush_run(index, run)
+        self.shards[index].end_batch()
         return len(entries)
 
     # -- mirror routes ---------------------------------------------------------
@@ -342,15 +344,19 @@ class IngestBus:
         """Entries queued but not yet applied for one shard."""
         return len(self._queues[shard])
 
-    def flush(self, shard: int | None = None) -> None:
-        """Apply pending batches immediately (all shards by default)."""
+    def flush(self, shard: int | None = None, *, send: bool = True) -> None:
+        """Apply pending batches immediately (all shards by default).
+
+        ``send=False`` leaves a process shard's drained batch queued in
+        its proxy, for the caller to send with the call that follows
+        (see :meth:`~repro.cluster.server.ClusterServer.flush`)."""
         targets = range(len(self.shards)) if shard is None else (shard,)
         for index in targets:
             handle = self._drain_handles[index]
             if handle is not None:
                 handle.cancel()
                 self._drain_handles[index] = None
-            self._drain(index)
+            self._drain(index, send)
 
     def shutdown(self) -> None:
         """Cancel scheduled drains; queued entries are dropped — and so
@@ -373,7 +379,7 @@ class IngestBus:
         self._drain_handles[index] = None
         self._drain(index)
 
-    def _drain(self, index: int) -> None:
+    def _drain(self, index: int, send: bool = True) -> None:
         queue = self._queues[index]
         if not queue:
             return
@@ -396,11 +402,17 @@ class IngestBus:
         self._spare_queues[index] = None
         self._queues[index] = spare if spare is not None else []
         self._batches.inc()
+        shard = self.shards[index]
         plane = self._durability
         if plane is not None:
             # Append-before-apply: once the record is on disk the batch
             # is recoverable no matter where the apply loop dies.
-            plane.log_batch(index, self.shards[index].epoch, queue)
+            plane.log_batch(index, shard.epoch, [
+                (entry.variable, entry.value) if isinstance(entry, _Write)
+                else Event(entry.event_type, entry.subject,
+                           None if entry.only is None else sorted(entry.only))
+                for entry in queue
+            ])
         run = self._run_scratch
         self._run_scratch = []
         for entry in queue:
@@ -414,6 +426,7 @@ class IngestBus:
             self._flush_run(index, run)
             self._apply(index, entry)
         self._flush_run(index, run)
+        shard.end_batch(send=send)
         queue.clear()
         self._spare_queues[index] = queue
         self._run_scratch = run
@@ -458,12 +471,14 @@ class IngestBus:
         mirror subscribers at apply time (owner first), so routes added
         or removed between publish and apply are honoured."""
         self._apply(index, entry)
+        self.shards[index].end_batch()
         if self._closed or not isinstance(entry, _Write):
             return
         for target in self._mirror_routes.get(entry.variable, ()):
             if target != index:
                 self._mirrored.inc()
                 self._apply(target, entry)
+                self.shards[target].end_batch()
 
     def _apply(self, index: int, entry: _Write | _Event) -> None:
         if self._closed:

@@ -15,11 +15,18 @@ Snapshot (``snap-<id>-shard<k>.json``)
     restored world rebuilds all of it exactly.
 
 WAL (``wal-<id>-shard<k>.log``)
-    Every drained ingest batch, framed and checksummed
-    (:mod:`repro.support.wal`), appended *before* the batch is applied.
-    Records carry a cluster-global sequence number (replay merges the
-    per-shard tails back into apply order), the simulated drain time and
-    the shard's rule-churn epoch.
+    Every drained ingest batch as its typed batch record
+    (:class:`~repro.cluster.wire.WireEncoder`: a header with a
+    cluster-global sequence number, the simulated drain time and the
+    shard's rule-churn epoch, then ``u32`` key ids, ``f64`` values and a
+    JSON side table for strings, sets and events), CRC-framed
+    (:mod:`repro.support.wal`) and appended *before* the batch is
+    applied.  On the process backend the record is the BATCH payload
+    the worker received, appended by the worker; in-thread, the shard
+    encodes the same record.  The key table restarts with every WAL
+    generation, so each WAL decodes on its own, and reading one never
+    unpickles anything.  Replay merges the per-shard tails back into
+    apply order by sequence number.
 
 ``MANIFEST.json`` names the current generation's files plus everything
 cluster-level a restore needs — the construction config, the rule
@@ -74,8 +81,7 @@ from time import perf_counter_ns
 from typing import Callable, Iterable, Sequence
 
 from repro.cluster.server import ClusterServer
-from repro.cluster.wire import decode_value as _decode_value
-from repro.cluster.wire import encode_value as _encode_value
+from repro.cluster.wire import WireDecoder
 from repro.core.action import ActionSpec
 from repro.core.priority import PriorityOrder
 from repro.core.rule import Rule
@@ -84,10 +90,10 @@ from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS_MS
 from repro.sim.faults import FaultInjector
 from repro.sim.events import Simulator
 from repro.support.fsio import atomic_write_text
-from repro.support.wal import WAL_CRASH_SITES, encode_record, read_wal
+from repro.support.wal import WAL_CRASH_SITES, read_wal
 
 MANIFEST_NAME = "MANIFEST.json"
-MANIFEST_FORMAT = "repro-cluster-snapshot/1"
+MANIFEST_FORMAT = "repro-cluster-snapshot/2"
 
 CRASH_DRAIN_APPLY = "drain-apply"
 CRASH_SNAPSHOT_WRITE = "snapshot-write"
@@ -98,32 +104,6 @@ CRASH_MANIFEST_COMMIT = "manifest-commit"
 ALL_CRASH_SITES = WAL_CRASH_SITES + (
     CRASH_DRAIN_APPLY, CRASH_SNAPSHOT_WRITE, CRASH_MANIFEST_COMMIT,
 )
-
-
-def _encode_entries(entries: Sequence) -> list:
-    """Bus queue entries (write/event objects) → WAL entry lists.
-
-    An event's ``only`` scope is materialized at log time — the drain
-    applies the batch immediately after logging, so the membership
-    recorded is exactly the membership the apply observed."""
-    encoded: list = []
-    for entry in entries:
-        if hasattr(entry, "variable"):
-            encoded.append(["w", entry.variable, _encode_value(entry.value)])
-        else:
-            only = entry.only
-            encoded.append([
-                "e", entry.event_type, entry.subject,
-                sorted(only) if only is not None else None,
-            ])
-    return encoded
-
-
-def _decode_entries(raw: Sequence) -> list:
-    return [
-        ["w", entry[1], _decode_value(entry[2])] if entry[0] == "w" else entry
-        for entry in raw
-    ]
 
 
 class DurabilityPlane:
@@ -211,8 +191,9 @@ class DurabilityPlane:
     # -- write path ------------------------------------------------------------
 
     def log_batch(self, index: int, epoch: int, entries: Sequence) -> None:
-        """Append one detached drain batch to the shard's WAL, before it
-        is applied.
+        """Log one detached drain batch to the shard's WAL, before it is
+        applied.  ``entries`` are the batch's ``(variable, value)``
+        pairs and :class:`~repro.cluster.wire.Event` entries.
 
         An epoch disagreeing with the snapshot means rule churn the
         eager churn-checkpoint failed to capture (it crashed, or the
@@ -231,20 +212,16 @@ class DurabilityPlane:
         if epoch != self._epochs[index] and not self._checkpointing:
             self.checkpoint()
         self._wal_seq += 1
-        payload = {
-            "seq": self._wal_seq,
-            "t": self._server.simulator.now,
-            "epoch": epoch,
-            "n": _encode_entries(entries),
-        }
-        # Encode once; the shard surface appends the same frame bytes
-        # whether the writer is local or in a worker process (where the
-        # WAL frame rides the socket ahead of the batch it describes,
-        # preserving append-before-apply).
-        size = self._server.shards[index].wal_append(encode_record(payload))
+        # An in-thread shard encodes and appends the record here.  A
+        # process shard stamps the sequence number on the BATCH record
+        # it sends at the end of the drain, which its worker appends
+        # before applying (counted in ClusterServer.flush).
+        size = self._server.shards[index].wal_log(
+            self._wal_seq, epoch, entries)
         if self._wal_records is not None:
             self._wal_records.inc()
-            self._wal_bytes.inc(size)
+            if size:
+                self._wal_bytes.inc(size)
 
     def checkpoint(self) -> dict:
         """Write a full snapshot generation and commit it.
@@ -554,18 +531,21 @@ def restore_cluster(
         shard.recover(state)
     # WAL tails: per shard, keep the longest prefix that is both
     # structurally valid on disk and epoch-consistent with the snapshot.
-    kept_records: list[list[dict]] = []
+    kept_records: list[list] = []
     for index, entry in enumerate(manifest["shards"]):
         records, read_report = read_wal(
-            os.path.join(directory, entry["wal"]))
+            os.path.join(directory, entry["wal"]),
+            WireDecoder().decode_record)
         shard_report = ShardRecovery(shard=index, wal_records=len(records))
         epoch = states[index]["epoch"]
-        kept: list[dict] = []
+        kept: list = []
         for record in records:
-            if record.get("epoch") != epoch:
+            if not record.seq:
+                continue  # unlogged batch kept only for its key definitions
+            if record.epoch != epoch:
                 shard_report.truncated = True
                 shard_report.reason = (
-                    f"epoch mismatch: record epoch {record.get('epoch')!r}"
+                    f"epoch mismatch: record epoch {record.epoch}"
                     f" != snapshot epoch {epoch}"
                 )
                 break
@@ -577,21 +557,21 @@ def restore_cluster(
         kept_records.append(kept)
         report.shards.append(shard_report)
     merged = sorted(
-        (record["seq"], index, record)
-        for index, records in enumerate(kept_records)
-        for record in records
+        ((record.seq, index, record)
+         for index, records in enumerate(kept_records)
+         for record in records),
+        key=lambda item: item[:2],
     )
     for _, index, record in merged:
-        if record["t"] > simulator.now:
+        if record.t > simulator.now:
             # Fire timers up to the drain time first — the original run
             # interleaved them the same way (batches drained at t after
             # events strictly before t).
-            simulator.run_until(record["t"])
-        entries = _decode_entries(record["n"])
-        server.bus.apply_entries(index, entries)
+            simulator.run_until(record.t)
+        server.bus.apply_entries(index, record.entries)
         shard_report = report.shards[index]
         shard_report.records_replayed += 1
-        shard_report.entries_replayed += len(entries)
+        shard_report.entries_replayed += len(record.entries)
     registry = server.bus.registry
     registry.counter("recovery.replayed_records").inc(
         sum(shard.records_replayed for shard in report.shards))

@@ -118,6 +118,9 @@ class ShardRouter:
         )
         self._ring_positions = [position for position, _ in points]
         self._ring_shards = [shard for _, shard in points]
+        # identifier -> shard: placement is a pure function of the
+        # identifier, and every publish asks for it.
+        self._shard_of: dict[str, int] = {}
 
     # -- routing ---------------------------------------------------------------
 
@@ -130,7 +133,11 @@ class ShardRouter:
 
     def shard_of(self, identifier: str) -> int:
         """Shard owning a variable id / device UDN (via its home key)."""
-        return self.shard_of_key(self.key_of(identifier))
+        shard = self._shard_of.get(identifier)
+        if shard is None:
+            shard = self._shard_of[identifier] = \
+                self.shard_of_key(self.key_of(identifier))
+        return shard
 
     # -- rule placement --------------------------------------------------------
 

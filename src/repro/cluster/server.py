@@ -450,19 +450,43 @@ class ClusterServer:
     def flush(self) -> None:
         """Drain every shard's pending ingest batch immediately.
 
-        On the process backend this is also the counter barrier: each
-        worker settles its pipelined feeds and its accumulated batch
-        counter deltas fold into the bus registry (the thread backend
-        folds them synchronously at apply time)."""
-        self.bus.flush()
-        if self.backend == "process":
-            registry = self.bus.registry
-            for shard in self.shards:
+        On the process backend this is also the counter barrier.  Each
+        worker gets one packet — its drained batch record followed by
+        the barrier call — and every packet is sent before any reply is
+        awaited, so the workers apply in parallel.  Their accumulated
+        batch counter deltas, and the bytes they logged, fold into the
+        bus registry (the thread backend folds them at apply time)."""
+        if self.backend != "process":
+            self.bus.flush()
+            return
+        self.bus.flush(send=False)
+        registry = self.bus.registry
+        error: Exception | None = None
+        posted = []
+        for shard in self.shards:
+            try:
+                shard.post_barrier()
+                posted.append(shard)
+            except Exception as exc:
+                error = error or exc
+        # Await every posted reply even after a failure, so no reply is
+        # left unread on a healthy worker's stream.
+        for shard in posted:
+            try:
                 flips, touched = shard.barrier()
-                if flips:
-                    registry.counter("bus.atoms_flipped").inc(flips)
-                if touched:
-                    registry.counter("bus.clauses_touched").inc(touched)
+            except Exception as exc:
+                error = error or exc
+                continue
+            if flips:
+                registry.counter("bus.atoms_flipped").inc(flips)
+            if touched:
+                registry.counter("bus.clauses_touched").inc(touched)
+        for shard in self.shards:
+            logged = shard.take_logged_bytes()
+            if logged:
+                registry.counter("recovery.wal_bytes").inc(logged)
+        if error is not None:
+            raise error
 
     # -- introspection ---------------------------------------------------------
 

@@ -23,6 +23,7 @@ import math
 from time import perf_counter_ns
 from typing import Any, Callable, Collection
 
+from repro.cluster.wire import WireEncoder
 from repro.core.action import ActionSpec
 from repro.core.conflict import ConflictReport
 from repro.core.engine import DEFAULT_MAX_TRACE, PromptPolicy
@@ -121,8 +122,11 @@ class EngineShard:
         self._mirror_rules: dict[str, set[str]] = {}    # variable -> rules
         self._rule_mirrors: dict[str, frozenset[str]] = {}
         # This shard's WAL writer (None while durability is detached);
-        # owned here so the process backend appends in-worker.
+        # owned here so the process backend appends in-worker.  Logged
+        # batches are encoded with a key table of the WAL's own, so each
+        # generation decodes on its own.
         self._wal: WalWriter | None = None
+        self._wal_encoder = WireEncoder()
         # -- clock ticks -----------------------------------------------------
         # With the time wheel on, a tick at a non-boundary time with no
         # DENIED/until/disabled/stateful clock-watchers is a no-op, so
@@ -212,6 +216,10 @@ class EngineShard:
         shard hosts several homes, and a home-targeted event must not
         wake a co-located neighbour's rules)."""
         self.engine.post_event(event_type, subject, only=only)
+
+    def end_batch(self, *, send: bool = True) -> None:
+        """The bus finished feeding one drained batch.  An in-thread
+        shard applied it already; the process proxy ships it here."""
 
     def barrier(self) -> tuple[int, int]:
         """Settle every feed sent so far and return the accumulated
@@ -455,10 +463,22 @@ class EngineShard:
         self.wal_close()
         self._wal = WalWriter(path, fsync_interval=fsync_interval,
                               faults=faults)
+        self._wal_encoder.reset()
 
-    def wal_append(self, frame: bytes) -> int:
-        """Append one pre-framed WAL record; returns its size."""
-        return self._wal.append_frame(frame)
+    def wal_log(self, seq: int, epoch: int, entries) -> int:
+        """Append one drained batch — ``(variable, value)`` pairs and
+        :class:`~repro.cluster.wire.Event` entries — as a batch record,
+        before the bus applies it; returns the bytes appended."""
+        encoder = self._wal_encoder
+        encoder.seq = seq
+        encoder.epoch = epoch
+        return self._wal.append(
+            encoder.encode_record(self.simulator.now, entries))
+
+    def wal_append(self, record: bytes) -> int:
+        """Append one encoded batch record (a worker logs the BATCH
+        payload it received); returns the bytes appended."""
+        return self._wal.append(record)
 
     def wal_sync(self) -> None:
         if self._wal is not None:

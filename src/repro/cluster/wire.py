@@ -1,45 +1,41 @@
 """Framed wire protocol between the cluster parent and shard workers.
 
 A connection is a byte stream of frames, each ``[u32 len][u8 type]``
-followed by ``len`` payload bytes (length counts the payload only) —
-the same length-prefixed discipline as the WAL framing in
-:mod:`repro.support.wal`, minus the checksum: the socket is a reliable
-stream, so corruption detection buys nothing and the 5-byte header
-keeps hot batches cheap.
+followed by ``len`` payload bytes (length counts the payload only).
+The socket is a reliable stream, so frames carry no checksum; the WAL
+(:mod:`repro.support.wal`) adds one when a worker logs a record.
 
 Frame types split by payload codec:
 
-* **Pickled batch payloads** — the ingest hot path.  Batch rows intern
-  their variable names through a per-connection key table
-  (:class:`WireEncoder`/:class:`WireDecoder`) so a steady-state batch
-  sends small integers, not repeated strings; new names ride along as
-  ``defs`` in the frame that first uses them.  The payload itself is a
-  pickle, not JSON: protocol-5 pickling of (int, float) rows runs ~4x
-  faster than JSON float formatting, which would otherwise dominate
-  the codec budget (benchmark A12 pins codec ≤15% of batch apply).
-* **JSON payloads** — events and all plain-data calls: rare control
-  traffic where a self-describing text payload aids debugging.
+* **Batch records** (``BATCH``) — the ingest hot path.  One record is
+  one drained batch: a fixed header, ``u32`` key ids, ``f64`` values
+  and a small JSON side table (see :class:`WireEncoder`).  The record
+  bytes are also the shard's WAL record body: a worker CRC-frames and
+  appends the payload it received, so a batch is encoded once, in the
+  parent, and never pickled.  Decoding from disk is therefore safe.
+* **JSON payloads** — plain-data calls and their results.
 * **Pickled payloads** — calls that carry rich objects (``Rule``,
-  ``PriorityOrder``, ``ConflictReport`` lists, exceptions).
-* **Raw payloads** — pre-encoded WAL record frames forwarded verbatim.
+  ``PriorityOrder``, ``ConflictReport`` lists, exceptions) and the
+  ``ActionSpec`` of each forwarded action.
 
 Pickled frames are parent↔worker within one trust domain — the
 connection is a private ``socketpair`` inherited at fork, never a
 listening socket — the same trade the snapshot plane already makes.
 
-One-way frames (BATCH, EVENT, ACTION, WAL) are pipelined with no
-acknowledgement; the stream's FIFO order guarantees any later CALL on
-the same connection observes their effects.  CALL/CALL_P carry a
-request id echoed by the matching RESULT/RESULT_P/ERROR.
+BATCH frames are one-way: the parent queues them and sends them ahead
+of its next CALL, whose reply therefore observes their effects (the
+stream is FIFO).  CALL/CALL_P carry a request id echoed by the matching
+RESULT/RESULT_P/ERROR.  The worker holds the ACTION frames its engine
+dispatches and writes them in front of its next reply.
 
-Every time-bearing frame carries the parent simulator's ``now`` so the
-worker's private clock can catch up (firing its grid-snapped ticks in
-order) before the payload is applied — see
+Every record carries the parent simulator's ``now`` so the worker's
+private clock can catch up (firing its grid-snapped ticks in order)
+before the record is applied — see
 :class:`repro.cluster.worker.WorkerHost` for the handshake.
 
 Malformed input — bad length prefix, oversized frame, unknown type,
-truncated stream, undecodable payload, or a key-table id the
-connection never defined — raises :class:`repro.errors.WireError`.
+truncated stream, undecodable payload, or a key id the stream never
+defined — raises :class:`repro.errors.WireError`.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from __future__ import annotations
 import json
 import pickle
 import struct
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.errors import WireError
 
@@ -63,21 +59,19 @@ MAX_FRAME = 64 * 1024 * 1024
 
 HELLO = 1        # parent → worker: pickled handshake config
 HELLO_ACK = 2    # worker → parent: JSON [shard_id, pid]
-BATCH = 3        # parent → worker, one-way: pickled (t, defs, keys, values)
-EVENT = 4        # parent → worker, one-way: JSON [t, event_type, subject, only]
+BATCH = 3        # parent → worker, one-way: a batch record
 CALL = 5         # parent → worker: JSON [req_id, method, t, args]
 CALL_P = 6       # parent → worker: pickled (req_id, method, t, args, kwargs)
 RESULT = 7       # worker → parent: JSON [req_id, value]
 RESULT_P = 8     # worker → parent: pickled (req_id, value)
 ERROR = 9        # worker → parent: pickled (req_id, exception, traceback_text)
-ACTION = 10      # worker → parent, one-way: pickled ActionSpec
-WAL = 11         # parent → worker, one-way: raw encoded WAL record bytes
+ACTION = 10      # worker → parent, ahead of a reply: pickled ActionSpec
 BYE = 12         # parent → worker: empty; worker closes WAL and exits
 
 FRAME_NAMES = {
-    HELLO: "HELLO", HELLO_ACK: "HELLO_ACK", BATCH: "BATCH", EVENT: "EVENT",
-    CALL: "CALL", CALL_P: "CALL_P", RESULT: "RESULT", RESULT_P: "RESULT_P",
-    ERROR: "ERROR", ACTION: "ACTION", WAL: "WAL", BYE: "BYE",
+    HELLO: "HELLO", HELLO_ACK: "HELLO_ACK", BATCH: "BATCH", CALL: "CALL",
+    CALL_P: "CALL_P", RESULT: "RESULT", RESULT_P: "RESULT_P",
+    ERROR: "ERROR", ACTION: "ACTION", BYE: "BYE",
 }
 
 _KNOWN_TYPES = frozenset(FRAME_NAMES)
@@ -115,9 +109,7 @@ def decode_header(header: bytes) -> tuple[int, int]:
 
 class FrameReader:
     """Incremental frame splitter over an arbitrary chunking of the
-    byte stream (the synchronous twin of the worker's
-    ``readexactly`` loop; the parent's blocking receive path and the
-    fuzz tests share it)."""
+    byte stream; both ends of a connection read through one."""
 
     def __init__(self) -> None:
         self._buffer = bytearray()
@@ -128,14 +120,20 @@ class FrameReader:
     def frames(self) -> Iterator[tuple[int, bytes]]:
         """Yield every complete ``(frame_type, payload)`` buffered so
         far, leaving any partial frame for the next :meth:`feed`."""
-        while len(self._buffer) >= HEADER_SIZE:
-            length, frame_type = decode_header(bytes(self._buffer[:HEADER_SIZE]))
-            end = HEADER_SIZE + length
-            if len(self._buffer) < end:
-                return
-            payload = bytes(self._buffer[HEADER_SIZE:end])
-            del self._buffer[:end]
-            yield frame_type, payload
+        buffer = self._buffer
+        offset = 0
+        try:
+            while len(buffer) - offset >= HEADER_SIZE:
+                length, frame_type = decode_header(
+                    bytes(buffer[offset:offset + HEADER_SIZE]))
+                start = offset + HEADER_SIZE
+                end = start + length
+                if len(buffer) < end:
+                    return
+                offset = end
+                yield frame_type, bytes(buffer[start:end])
+        finally:
+            del buffer[:offset]
 
     def at_eof(self) -> None:
         """Call when the stream closes: leftover bytes mean the last
@@ -151,8 +149,7 @@ class FrameReader:
 
 def encode_value(value: Any) -> Any:
     """Tag the one non-JSON value the ingest path produces (frozenset
-    readings) so decode round-trips the type.  Shared with the WAL
-    entry codec in :mod:`repro.cluster.durability`."""
+    readings) so decode round-trips the type."""
     if isinstance(value, frozenset):
         return {"set": sorted(value)}
     return value
@@ -231,118 +228,231 @@ def encode_error(req_id: int, exception: BaseException, tb_text: str) -> bytes:
     return encode_frame(ERROR, payload)
 
 
-# -- interned batch/event codec ------------------------------------------------
+# -- batch records -------------------------------------------------------------
+
+class Event(NamedTuple):
+    """An instantaneous event entry of a batch record (writes are plain
+    ``(variable, value)`` pairs).  ``only`` is the sorted rule-name
+    scope, or None for every rule on the shard."""
+
+    event_type: str
+    subject: str | None
+    only: list[str] | None
+
+
+class Record(NamedTuple):
+    """A decoded batch record."""
+
+    seq: int        # WAL sequence number of the drained batch; 0: unlogged
+    t: float        # parent simulator time of the drain
+    epoch: int      # the shard's rule-churn epoch at the drain
+    entries: list   # (variable, value) pairs and Event entries, in order
+
+
+#: ``t, seq, epoch, writes, side-table bytes``.  Then come one ``u64``
+#: slot per write — the key id in the low 32 bits, the value id above
+#: them (0: the value is the write's float) — the writes' ``f64``
+#: values, and the side table.
+RECORD_HEADER = struct.Struct("<dQIII")
+
+#: Interned values per stream (see WireEncoder); past the cap, values
+#: travel inline in the side table.
+MAX_INTERNED_VALUES = 1 << 16
+
+_KEY_BITS = 0xFFFFFFFF
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
 
 class WireEncoder:
-    """Parent-side batch/event encoder with a per-connection key table.
+    """Batch-record encoder with interned key and value tables.
 
-    Variable names are interned: the first batch naming a variable
-    carries a ``(id, name)`` definition, every later row sends the
-    integer id.  :meth:`reset` restarts the table for a reconnect (the
-    fresh decoder on the other end starts empty too).
+    Variable names are interned: the first record naming a variable
+    defines its id, every later record sends the id.  String and
+    frozenset values — room names, keyword sets — are interned the same
+    way and referenced from the write's slot.  Other values (ints,
+    bools, None), new definitions and events go into the JSON side
+    table, which a steady stream leaves empty.  The tables live as long
+    as the stream they feed: a connection, and on a durable shard one
+    WAL generation, so each generation decodes on its own; :meth:`reset`
+    restarts them.
 
-    The payload is a protocol-5 pickle of ``(t, defs, keys, values)``
-    with keys and values as parallel flat lists: values ship natively
-    (no frozenset tagging needed) and homogeneous int/float lists
-    serialize at C speed — see the module docstring for why JSON lost
-    the hot path."""
+    ``seq`` and ``epoch`` are the header of the records encoded next:
+    the WAL sequence number of the drained batch (0 when the batch is
+    not logged) and the shard's rule epoch.  The durable drain path
+    sets them before it encodes a logged batch."""
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
+        self._value_ids: dict[Any, int] = {}
+        self.seq = 0
+        self.epoch = 0
 
     def reset(self) -> None:
         self._ids.clear()
+        self._value_ids.clear()
 
-    def _intern(self, name: str, defs: list) -> int:
-        key_id = self._ids.get(name)
-        if key_id is None:
-            key_id = len(self._ids)
-            self._ids[name] = key_id
-            defs.append((key_id, name))
-        return key_id
+    def encode_batch(self, t: float, writes: Sequence) -> bytes:
+        """The BATCH frame of one record; ``writes`` holds
+        ``(variable, value)`` pairs and :class:`Event` entries."""
+        return self._encode(t, writes, True)
 
-    def encode_batch(
-        self, t: float, writes: Sequence[tuple[str, Any]]
-    ) -> bytes:
-        defs: list = []
+    def encode_record(self, t: float, entries: Sequence) -> bytes:
+        """One record's bytes (a BATCH payload and a WAL record body)."""
+        return self._encode(t, entries, False)
+
+    def _encode(self, t: float, entries: Sequence, framed: bool) -> bytes:
         ids = self._ids
-        # Keys and values ship as parallel flat lists: homogeneous
-        # lists pickle measurably faster than per-row pairs, and the
-        # steady state is two straight-line comprehensions — _intern
-        # only runs the round a name is first seen.
+        value_ids = self._value_ids
         try:
-            keys = [ids[variable] for variable, _ in writes]
-        except KeyError:
-            keys = [self._intern(variable, defs)
-                    for variable, _ in writes]
-        values = [value for _, value in writes]
-        return encode_frame(BATCH, pickle.dumps(
-            (t, defs, keys, values), protocol=pickle.HIGHEST_PROTOCOL))
+            # Steady state: known names and values, no events.
+            slots = [ids[variable] if type(value) is float
+                     else ids[variable] | value_ids[value] << 32
+                     for variable, value in entries]
+        except (KeyError, ValueError, TypeError):
+            # A new name or value, an Event (three fields), an inline
+            # or unhashable value.
+            return self._encode_general(t, entries, framed)
+        count = len(slots)
+        floats = [value if type(value) is float else 0.0
+                  for _, value in entries]
+        if framed:
+            if RECORD_HEADER.size + 16 * count > MAX_FRAME:
+                raise WireError(
+                    f"a batch of {count} writes exceeds MAX_FRAME "
+                    f"({MAX_FRAME})")
+            return struct.pack(
+                f"<IBdQIII{count}Q{count}d",
+                RECORD_HEADER.size + 16 * count, BATCH,
+                t, self.seq, self.epoch, count, 0, *slots, *floats)
+        return struct.pack(
+            f"<dQIII{count}Q{count}d", t, self.seq, self.epoch, count, 0,
+            *slots, *floats)
 
-    def encode_event(
-        self,
-        t: float,
-        event_type: str,
-        subject: str | None,
-        only: Sequence[str] | None,
-    ) -> bytes:
-        # Events are rare control traffic; their strings go uninterned.
-        payload = [t, event_type, subject,
-                   sorted(only) if only is not None else None]
-        return encode_frame(EVENT, _dump_json(payload))
+    def _encode_general(self, t: float, entries: Sequence,
+                        framed: bool) -> bytes:
+        ids = self._ids
+        value_ids = self._value_ids
+        slots: list[int] = []
+        floats: list[float] = []
+        names: list[str] = []
+        interned: list = []
+        inline: list = []
+        events: list = []
+        first_id = len(ids)
+        first_value_id = len(value_ids) + 1
+        for entry in entries:
+            if isinstance(entry, Event):
+                events.append([len(slots) + len(events), entry.event_type,
+                               entry.subject, entry.only])
+                continue
+            variable, value = entry
+            key_id = ids.get(variable)
+            if key_id is None:
+                key_id = ids[variable] = len(ids)
+                names.append(variable)
+            value_id = 0
+            if type(value) is float:
+                floats.append(value)
+            else:
+                floats.append(0.0)
+                if isinstance(value, (str, frozenset)):
+                    value_id = value_ids.get(value, 0)
+                    if not value_id and len(value_ids) < MAX_INTERNED_VALUES:
+                        value_id = value_ids[value] = len(value_ids) + 1
+                        interned.append(encode_value(value))
+                if not value_id:
+                    inline.append([len(slots), encode_value(value)])
+            slots.append(key_id | value_id << 32)
+        side: dict[str, Any] = {}
+        if names:
+            side["d"] = [first_id, names]
+        if interned:
+            side["u"] = [first_value_id, interned]
+        if inline:
+            side["v"] = inline
+        if events:
+            side["e"] = events
+        side_bytes = _JSON.encode(side).encode("utf-8") if side else b""
+        count = len(slots)
+        body = struct.pack(
+            f"<dQIII{count}Q{count}d", t, self.seq, self.epoch, count,
+            len(side_bytes), *slots, *floats) + side_bytes
+        return encode_frame(BATCH, body) if framed else body
 
 
 class WireDecoder:
-    """Worker-side twin of :class:`WireEncoder`: registers definitions
-    as they arrive and resolves key ids back to names.
+    """The reading twin of :class:`WireEncoder`: registers definitions
+    as they arrive and resolves key and value ids.
 
-    The key table is a plain list — the encoder assigns ids densely
-    from zero, so id→name resolution is an index, not a hash probe."""
+    Both tables are plain lists — the encoder assigns ids densely, so
+    resolution is an index, not a hash probe."""
 
     def __init__(self) -> None:
         self._names: list[str] = []
+        self._values: list = [None]   # value id 0 is "the float"
 
     def reset(self) -> None:
         self._names.clear()
+        del self._values[1:]
 
-    def decode_batch(
-        self, payload: bytes
-    ) -> tuple[float, list[tuple[str, Any]]]:
+    def defined(self) -> int:
+        """Key and value ids defined so far."""
+        return len(self._names) + len(self._values) - 1
+
+    def decode_batch(self, payload: bytes) -> tuple[float, list]:
+        """``(t, entries)`` of one record."""
+        record = self.decode_record(payload)
+        return record.t, record.entries
+
+    def decode_record(self, payload: bytes) -> Record:
+        """Decode one record; a definition out of order or an id never
+        defined raises :class:`WireError`."""
         try:
-            t, defs, keys, values = decode_pickled(payload)
+            t, seq, epoch, count, side_size = \
+                RECORD_HEADER.unpack_from(payload)
+            side_at = RECORD_HEADER.size + 16 * count
+            if side_at + side_size != len(payload):
+                raise WireError(
+                    f"malformed batch record: {len(payload)} bytes for "
+                    f"{count} writes and a {side_size}-byte side table")
+            fields = struct.unpack_from(
+                f"<{count}Q{count}d", payload, RECORD_HEADER.size)
+            side = _load_json(payload[side_at:]) if side_size else {}
             names = self._names
-            for key_id, name in defs:
-                if key_id != len(names):
+            table = self._values
+            if "d" in side:
+                first_id, defined = side["d"]
+                if first_id != len(names):
                     raise WireError(
-                        f"key-table definition {key_id} out of order "
+                        f"key-table definition {first_id} out of order "
                         f"(expected {len(names)}); stream is "
-                        "desynchronized"
-                    )
-                names.append(name)
-            if len(keys) != len(values):
+                        "desynchronized")
+                names.extend(defined)
+            if "u" in side:
+                first_id, defined = side["u"]
+                if first_id != len(table):
+                    raise WireError(
+                        f"value-table definition {first_id} out of order "
+                        f"(expected {len(table)}); stream is "
+                        "desynchronized")
+                table.extend(map(decode_value, defined))
+            try:
+                entries: list = [
+                    (names[slot & _KEY_BITS],
+                     table[slot >> 32] if slot >> 32 else value)
+                    for slot, value in zip(fields[:count], fields[count:])
+                ]
+            except IndexError:
                 raise WireError(
-                    f"malformed BATCH payload: {len(keys)} keys vs "
-                    f"{len(values)} values"
-                )
-            if keys and (min(keys) < 0 or max(keys) >= len(names)):
-                raise WireError(
-                    "batch references a key-table id this connection "
-                    "never defined"
-                )
-            writes = list(zip(map(names.__getitem__, keys), values))
+                    "batch references a key or value id this stream "
+                    "never defined") from None
+            for index, value in side.get("v", ()):
+                entries[index] = (entries[index][0], decode_value(value))
+            for position, event_type, subject, only in side.get("e", ()):
+                entries.insert(position, Event(event_type, subject, only))
         except WireError:
             raise
-        except (TypeError, ValueError) as exc:
-            raise WireError(f"malformed BATCH payload: {exc}") from exc
-        return t, writes
-
-    def decode_event(
-        self, payload: bytes
-    ) -> tuple[float, str, str | None, list[str] | None]:
-        try:
-            t, event_type, subject, only = _load_json(payload)
-        except WireError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise WireError(f"malformed EVENT payload: {exc}") from exc
-        return t, event_type, subject, only
+        except (struct.error, AttributeError, TypeError, ValueError,
+                KeyError, IndexError) as exc:
+            raise WireError(f"malformed batch record: {exc}") from exc
+        return Record(seq, t, epoch, entries)

@@ -12,18 +12,23 @@ protocol of :mod:`repro.cluster.wire`:
     :class:`~repro.cluster.server.ClusterServer` and
     :class:`~repro.cluster.durability.DurabilityPlane` route to local
     and remote shards uniformly — ``backend="process"`` is the only
-    difference an application sees.  Ingest batches, events and WAL
-    records are **one-way** frames: the client pipelines them without
-    waiting, and the stream's FIFO order guarantees any later call
-    (query, registration barrier, snapshot) observes their effects.
-    Batch counter deltas accumulate worker-side and fold back through
-    :meth:`ShardClient.barrier`.
+    difference an application sees.  The feeds of one drained batch
+    (writes and events) collect in the client and become **one** BATCH
+    record when the bus ends the batch (:meth:`ShardClient.end_batch`).
+    Records are one-way and ride in front of the next call: the stream
+    is FIFO, so any later call (query, registration, snapshot) observes
+    their effects.  :meth:`~repro.cluster.server.ClusterServer.flush`
+    holds each worker's drained record, posts the counter barrier
+    behind it and sends every worker its one packet before awaiting any
+    reply.  Batch counter deltas accumulate worker-side and fold back
+    through :meth:`ShardClient.barrier`.
 
 :class:`WorkerHost` (worker side)
-    An asyncio loop hosting one ``EngineShard`` on a **private
-    simulator**.  The clock handshake: HELLO carries the parent
-    simulator's ``now`` (the tick-grid anchor), and every subsequent
-    time-bearing frame carries the parent's ``now`` again; the worker
+    A blocking loop over a :class:`~repro.cluster.wire.FrameReader`,
+    hosting one ``EngineShard`` on a **private simulator**.  The clock
+    handshake: HELLO carries the parent simulator's ``now`` (the
+    tick-grid anchor), and every record and call carries the parent's
+    ``now`` again; the worker
     :meth:`~repro.sim.events.Simulator.catch_up`\\ s before applying, so
     grid-snapped adaptive ticks and held-duration timers fire in the
     same order the shared-simulator drain produces.  Ties at exactly
@@ -31,15 +36,16 @@ protocol of :mod:`repro.cluster.wire`:
     known limitation documented in :mod:`repro.cluster.durability`,
     avoided the same way (fractional ingest timestamps).
 
-    The worker owns its shard's WAL writer and snapshot serialization
-    (:meth:`EngineShard.wal_append` / :meth:`EngineShard.snapshot_to`),
-    so durability I/O parallelizes across cores with the drains.
+    The worker owns its shard's WAL and snapshot serialization: it
+    appends each logged record — the BATCH payload it received — before
+    applying it (:meth:`EngineShard.wal_append`), so durability I/O
+    leaves the parent and parallelizes across cores with the drains.
 
-Deadlock discipline: the worker writes replies and forwarded actions
-with buffered ``write()`` and only ``drain()``\\ s after a RESULT/ERROR
-frame — at which point the parent is guaranteed to be reading.  Action
-frames ride in front of the next reply; the parent dispatches them
-while awaiting it (and during shutdown's trailing drain).
+Actions ride the reply: the worker holds the ACTION frames its engine
+dispatches and writes them in one send with its next RESULT/ERROR.  The
+parent reads the whole reply, dispatches its actions, then raises the
+first error (a failing dispatch callback or the call's own), so a
+raising callback never leaves a reply unread on the stream.
 
 Failures stay typed: worker-side exceptions travel back pickled
 (the taxonomy in :mod:`repro.errors` pins the round-trip) and a dead
@@ -52,20 +58,20 @@ cross-process plumbing.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import multiprocessing
 import os
 import socket
 import traceback
 from collections import deque
-from typing import Any, Callable, Collection
+from typing import Any, Callable, Collection, Iterator
 
 from repro.cluster import wire
 from repro.cluster.shard import EngineShard
 from repro.core.engine import RuleState
 from repro.errors import RecoveryError, WireError, WorkerCrashed, WorkerError
 from repro.sim.events import Simulator
+from repro.support.wal import RECORD_PREFIX_SIZE
 
 #: Seconds the parent waits for the worker's HELLO_ACK.
 HANDSHAKE_TIMEOUT = 30.0
@@ -89,7 +95,15 @@ def _worker_main(child_sock, parent_sock, shard_id: int) -> None:
     except OSError:
         pass
     try:
-        asyncio.run(_serve(child_sock, shard_id))
+        frames = _read_frames(child_sock)
+        frame_type, payload = next(frames, (None, b""))
+        if frame_type != wire.HELLO:
+            raise WireError(
+                f"expected HELLO as the first frame, got "
+                f"{wire.FRAME_NAMES.get(frame_type)}"
+            )
+        WorkerHost(shard_id, child_sock,
+                   wire.decode_pickled(payload)).run(frames)
     except (WireError, ConnectionError, EOFError):
         # A torn handshake or mid-frame disconnect means the parent is
         # gone or broken; there is nobody left to report to.
@@ -101,34 +115,24 @@ def _worker_main(child_sock, parent_sock, shard_id: int) -> None:
             pass
 
 
-async def _serve(sock, shard_id: int) -> None:
-    sock.setblocking(False)
-    if sock.family == getattr(socket, "AF_UNIX", object()):
-        reader, writer = await asyncio.open_unix_connection(sock=sock)
-    else:
-        reader, writer = await asyncio.open_connection(sock=sock)
-    try:
-        header = await reader.readexactly(wire.HEADER_SIZE)
-        length, frame_type = wire.decode_header(header)
-        payload = await reader.readexactly(length)
-        if frame_type != wire.HELLO:
-            raise WireError(
-                f"expected HELLO as the first frame, got "
-                f"{wire.FRAME_NAMES[frame_type]}"
-            )
-        host = WorkerHost(shard_id, reader, writer, wire.decode_pickled(payload))
-        await host.run()
-    finally:
-        writer.close()
+def _read_frames(sock) -> Iterator[tuple[int, bytes]]:
+    """Every frame the parent sends, until it closes the stream."""
+    reader = wire.FrameReader()
+    while True:
+        data = sock.recv(_RECV_CHUNK)
+        if not data:
+            reader.at_eof()
+            return
+        reader.feed(data)
+        yield from reader.frames()
 
 
 class WorkerHost:
     """One shard's engine + clock + WAL, served over the wire."""
 
-    def __init__(self, shard_id: int, reader, writer, hello: dict) -> None:
+    def __init__(self, shard_id: int, sock, hello: dict) -> None:
         self.shard_id = shard_id
-        self.reader = reader
-        self.writer = writer
+        self.sock = sock
         self.simulator = Simulator()
         # The parent's now at spawn becomes this shard's tick-grid
         # anchor — the same anchor an in-thread shard built at cluster
@@ -137,6 +141,9 @@ class WorkerHost:
         self.decoder = wire.WireDecoder()
         self._flips = 0
         self._touched = 0
+        self._logging = False    # a WAL generation is open
+        # ACTION frames held for the next reply.
+        self._held: list[bytes] = []
         config = dict(hello["config"])
         telemetry = None
         if config.pop("telemetry", False):
@@ -150,57 +157,37 @@ class WorkerHost:
         )
 
     def _forward_action(self, spec) -> None:
-        # Buffered, never drained here: flushed when the loop next
-        # yields; the parent reads these while awaiting its next reply.
-        self.writer.write(
+        self._held.append(
             wire.encode_frame(wire.ACTION, wire.encode_pickled(spec)))
 
-    async def run(self) -> None:
-        self.writer.write(wire.encode_frame(
+    def _reply(self, frame: bytes) -> None:
+        """Send the held actions and a reply in one write."""
+        held = self._held
+        held.append(frame)
+        self.sock.sendall(b"".join(held))
+        held.clear()
+
+    def run(self, frames: Iterator[tuple[int, bytes]]) -> None:
+        self.sock.sendall(wire.encode_frame(
             wire.HELLO_ACK,
             json.dumps([self.shard_id, os.getpid()]).encode("utf-8"),
         ))
-        await self.writer.drain()
-        reader = self.reader
-        while True:
-            try:
-                header = await reader.readexactly(wire.HEADER_SIZE)
-                length, frame_type = wire.decode_header(header)
-                payload = (
-                    await reader.readexactly(length) if length else b""
-                )
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return  # parent went away without BYE; exit quietly
+        for frame_type, payload in frames:
             if frame_type == wire.BATCH:
-                t, writes = self.decoder.decode_batch(payload)
-                self.simulator.catch_up(t)
-                if len(writes) == 1:
-                    # Mirrors the bus's _flush_run split: singletons take
-                    # the plain ingest path and stay out of the batch
-                    # counters.
-                    self.shard.ingest(*writes[0])
-                else:
-                    flips, touched = self.shard.ingest_batch(writes)
-                    self._flips += flips
-                    self._touched += touched
-            elif frame_type == wire.EVENT:
-                t, event_type, subject, only = \
-                    self.decoder.decode_event(payload)
-                self.simulator.catch_up(t)
-                self.shard.post_event(event_type, subject, only=only)
-            elif frame_type == wire.WAL:
-                self.shard.wal_append(payload)
+                self._apply_record(payload)
             elif frame_type == wire.CALL:
                 req_id, method, t, args = wire.decode_call(payload)
-                await self._handle_call(req_id, method, t, args, {},
-                                        pickled=False)
+                self._handle_call(req_id, method, t, args, {},
+                                  pickled=False)
             elif frame_type == wire.CALL_P:
                 req_id, method, t, args, kwargs = \
                     wire.decode_pickled(payload)
-                await self._handle_call(req_id, method, t, args, kwargs,
-                                        pickled=True)
+                self._handle_call(req_id, method, t, args, kwargs,
+                                  pickled=True)
             elif frame_type == wire.BYE:
                 self.shard.shutdown()  # closes the WAL too
+                if self._held:
+                    self.sock.sendall(b"".join(self._held))
                 return
             else:
                 raise WireError(
@@ -208,7 +195,38 @@ class WorkerHost:
                     f"{wire.FRAME_NAMES[frame_type]} frames"
                 )
 
-    async def _handle_call(
+    def _apply_record(self, payload: bytes) -> None:
+        known = self.decoder.defined()
+        record = self.decoder.decode_record(payload)
+        # Append-before-apply.  An unlogged record (a mirror seed) that
+        # defines ids is logged too, so the WAL's tables stay complete;
+        # replay skips its entries.
+        if self._logging and (record.seq or self.decoder.defined() > known):
+            self.shard.wal_append(payload)
+        self.simulator.catch_up(record.t)
+        shard = self.shard
+        run: list = []
+        for entry in record.entries:
+            if isinstance(entry, wire.Event):
+                self._ingest_run(run)
+                run = []
+                shard.post_event(entry.event_type, entry.subject,
+                                 only=entry.only)
+            else:
+                run.append(entry)
+        self._ingest_run(run)
+
+    def _ingest_run(self, run: list) -> None:
+        # Mirrors the bus's _flush_run split: singletons take the plain
+        # ingest path and stay out of the batch counters.
+        if len(run) == 1:
+            self.shard.ingest(*run[0])
+        elif run:
+            flips, touched = self.shard.ingest_batch(run)
+            self._flips += flips
+            self._touched += touched
+
+    def _handle_call(
         self, req_id: int, method: str, t: float,
         args: list, kwargs: dict, *, pickled: bool,
     ) -> None:
@@ -219,16 +237,13 @@ class WorkerHost:
                 raise WorkerError(f"unknown shard method {method!r}")
             result = handler(*args, **kwargs)
         except Exception as exc:
-            self.writer.write(
+            self._reply(
                 wire.encode_error(req_id, exc, traceback.format_exc()))
         else:
-            self.writer.write(
+            self._reply(
                 wire.encode_result_pickled(req_id, result) if pickled
                 else wire.encode_result(req_id, result)
             )
-        # The parent is now blocked awaiting this reply, so draining
-        # here cannot deadlock — and it flushes any buffered ACTIONs.
-        await self.writer.drain()
 
     # -- JSON-called handlers --------------------------------------------------
 
@@ -270,12 +285,16 @@ class WorkerHost:
 
     def _call_wal_open(self, path, fsync_interval):
         self.shard.wal_open(path, fsync_interval=fsync_interval)
+        # The parent restarted its key table with this generation.
+        self.decoder.reset()
+        self._logging = True
 
     def _call_wal_sync(self):
         self.shard.wal_sync()
 
     def _call_wal_close(self):
         self.shard.wal_close()
+        self._logging = False
 
     def _call_snapshot_to(self, path):
         return self.shard.snapshot_to(path)
@@ -348,9 +367,18 @@ class ShardClient:
         self.dispatch = dispatch
         self.epoch = 0
         self.worker_pid: int | None = None
+        #: Bytes of logged records sent since the last
+        #: :meth:`take_logged_bytes` (the worker appends them to its WAL).
+        self._logged_bytes = 0
         self._encoder = wire.WireEncoder()
         self._frames = wire.FrameReader()
         self._pending: deque[tuple[int, bytes]] = deque()
+        # The batch being fed (entries and their simulator time), and
+        # the frames queued for the next send.
+        self._feed: list = []
+        self._feed_t = 0.0
+        self._outbox: list[bytes] = []
+        self._posted: int | None = None    # barrier sent, not yet awaited
         self._next_req = 0
         self._closed = False
         try:
@@ -399,6 +427,8 @@ class ShardClient:
             if self.process.is_alive():
                 self.process.terminate()
             self.process.join(1.0)
+            if child_sock.fileno() != -1:
+                child_sock.close()
             raise
 
     # -- transport -------------------------------------------------------------
@@ -408,10 +438,25 @@ class ShardClient:
         self.process.join(0.5)
         return WorkerCrashed(self.shard_id, self.process.exitcode, detail)
 
-    def _send(self, data: bytes) -> None:
+    def _seal(self) -> None:
+        """Encode the batch being fed as one record into the outbox."""
+        feed = self._feed
+        if not feed:
+            return
+        frame = self._encoder.encode_batch(self._feed_t, feed)
+        if self._encoder.seq:
+            self._logged_bytes += len(frame) - wire.HEADER_SIZE \
+                + RECORD_PREFIX_SIZE
+            self._encoder.seq = 0
+        self._outbox.append(frame)
+        self._feed = []
+
+    def _send_outbox(self) -> None:
         if self._closed:
             raise WorkerError(
                 f"shard {self.shard_id} client used after shutdown")
+        data = b"".join(self._outbox)
+        self._outbox.clear()
         try:
             self._sock.sendall(data)
         except OSError as exc:
@@ -437,51 +482,71 @@ class ShardClient:
                 raise self._crashed("connection closed")
             self._frames.feed(data)
 
+    def _dispatch_all(self, actions: list[bytes]) -> Exception | None:
+        """Dispatch forwarded actions in order; returns the first
+        exception a dispatch raised (the rest still run)."""
+        error = None
+        if self.dispatch is None:
+            return None
+        for payload in actions:
+            try:
+                self.dispatch(wire.decode_pickled(payload))
+            except Exception as exc:
+                if error is None:
+                    error = exc
+        return error
+
     def _await(self, req_id: int) -> Any:
-        while True:
+        """Read the whole reply to ``req_id`` — the actions in front of
+        it, then the reply frame — dispatch the actions, then raise the
+        first error: a dispatch's, else the call's own."""
+        actions: list[bytes] = []
+        frame_type, payload = self._recv_frame()
+        while frame_type == wire.ACTION:
+            actions.append(payload)
             frame_type, payload = self._recv_frame()
-            if frame_type == wire.ACTION:
-                spec = wire.decode_pickled(payload)
-                if self.dispatch is not None:
-                    self.dispatch(spec)
-                continue
-            if frame_type == wire.RESULT:
-                got, value = wire.decode_result(payload)
-            elif frame_type == wire.RESULT_P:
-                got, value = wire.decode_pickled(payload)
-            elif frame_type == wire.ERROR:
-                got, exc, tb_text = wire.decode_pickled(payload)
-                if got != req_id:
-                    raise WireError(
-                        f"error reply for request {got}, expected {req_id}")
-                try:
-                    exc.worker_traceback = tb_text
-                except Exception:
-                    pass
-                raise exc
-            else:
-                raise WireError(
-                    f"unexpected {wire.FRAME_NAMES[frame_type]} frame "
-                    "from worker"
-                )
-            if got != req_id:
-                raise WireError(
-                    f"reply for request {got}, expected {req_id}")
-            return value
+        error = self._dispatch_all(actions)
+        if frame_type == wire.RESULT:
+            got, value = wire.decode_result(payload)
+        elif frame_type == wire.RESULT_P:
+            got, value = wire.decode_pickled(payload)
+        elif frame_type == wire.ERROR:
+            got, value, tb_text = wire.decode_pickled(payload)
+            try:
+                value.worker_traceback = tb_text
+            except Exception:
+                pass
+        else:
+            raise WireError(
+                f"unexpected {wire.FRAME_NAMES[frame_type]} frame "
+                "from worker"
+            )
+        if got != req_id:
+            raise WireError(f"reply for request {got}, expected {req_id}")
+        if error is not None:
+            raise error
+        if frame_type == wire.ERROR:
+            raise value
+        return value
+
+    def _post(self, frame_of: Callable[[int], bytes]) -> int:
+        """Send the queued records and one call in a single packet;
+        returns the call's request id."""
+        req_id = self._next_req
+        self._next_req += 1
+        self._seal()
+        self._outbox.append(frame_of(req_id))
+        self._send_outbox()
+        return req_id
 
     def _call(self, method: str, *args) -> Any:
-        req_id = self._next_req
-        self._next_req += 1
-        self._send(wire.encode_call(
-            req_id, method, self.simulator.now, args))
-        return self._await(req_id)
+        return self._await(self._post(lambda req_id: wire.encode_call(
+            req_id, method, self.simulator.now, args)))
 
     def _call_p(self, method: str, *args, **kwargs) -> Any:
-        req_id = self._next_req
-        self._next_req += 1
-        self._send(wire.encode_call_pickled(
-            req_id, method, self.simulator.now, args, kwargs))
-        return self._await(req_id)
+        return self._await(self._post(
+            lambda req_id: wire.encode_call_pickled(
+                req_id, method, self.simulator.now, args, kwargs)))
 
     # -- rule lifecycle --------------------------------------------------------
 
@@ -518,30 +583,64 @@ class ShardClient:
     def trace(self) -> list:
         return self._call_p("trace")
 
-    # -- world-state feeds (one-way, pipelined) --------------------------------
+    # -- world-state feeds (one-way, sent with the next call) ------------------
+
+    def _feed_now(self) -> list:
+        """The batch being fed, at the simulator's current time (a
+        record carries one time, so a feed from a later time seals the
+        earlier batch first)."""
+        now = self.simulator.now
+        if self._feed and now != self._feed_t:
+            self._seal()
+        self._feed_t = now
+        return self._feed
 
     def ingest(self, variable: str, value: Any) -> None:
-        self._send(self._encoder.encode_batch(
-            self.simulator.now, ((variable, value),)))
+        self._feed_now().append((variable, value))
 
     def ingest_batch(self, writes) -> tuple[int, int]:
-        self._send(self._encoder.encode_batch(self.simulator.now, writes))
+        self._feed_now().extend(writes)
         return (0, 0)  # worker-side counters fold back through barrier()
 
     def post_event(
         self, event_type: str, subject: str | None = None,
         *, only: Collection[str] | None = None,
     ) -> None:
-        # Membership is materialized at send time — the same moment the
-        # drain applies (and the WAL logs) it on the thread backend.
-        self._send(self._encoder.encode_event(
-            self.simulator.now, event_type, subject,
-            sorted(only) if only is not None else None,
-        ))
+        # Membership is materialized now — the same moment the drain
+        # applies (and the WAL logs) it on the thread backend.
+        self._feed_now().append(wire.Event(
+            event_type, subject, sorted(only) if only is not None else None))
+
+    def end_batch(self, *, send: bool = True) -> None:
+        """Encode the drained batch as one record and, unless ``send``
+        is off, send it now: a drain outside
+        :meth:`~repro.cluster.server.ClusterServer.flush` must reach the
+        worker's WAL when it finishes, not at the next call."""
+        self._seal()
+        self._encoder.seq = 0
+        if send and self._outbox:
+            self._send_outbox()
+
+    def post_barrier(self) -> None:
+        """Send the queued records and the counter barrier in one packet;
+        :meth:`barrier` awaits the reply."""
+        self._posted = self._post(
+            lambda req_id: wire.encode_call(
+                req_id, "barrier", self.simulator.now, ()))
 
     def barrier(self) -> tuple[int, int]:
-        flips, touched = self._call("barrier")
+        if self._posted is None:
+            self.post_barrier()
+        req_id, self._posted = self._posted, None
+        flips, touched = self._await(req_id)
         return (flips, touched)
+
+    def take_logged_bytes(self) -> int:
+        """WAL bytes the worker logs for the records sent since the last
+        call (the plane's ``recovery.wal_bytes`` counter folds them in at
+        :meth:`~repro.cluster.server.ClusterServer.flush`)."""
+        logged, self._logged_bytes = self._logged_bytes, 0
+        return logged
 
     def coalesce_safe(self, variable: str) -> bool:
         return self._call("coalesce_safe", variable)
@@ -590,11 +689,20 @@ class ShardClient:
                 "crash-point injection is not supported on the process "
                 "backend; use kill() on the worker instead"
             )
+        # Records queued so far use the old key table; the worker resets
+        # its table when it opens the new generation.
+        self._seal()
+        self._encoder.reset()
         self._call("wal_open", path, fsync_interval)
 
-    def wal_append(self, frame: bytes) -> int:
-        self._send(wire.encode_frame(wire.WAL, frame))
-        return len(frame)
+    def wal_log(self, seq: int, epoch: int, entries) -> int:
+        """Stamp the batch being drained as logged: the worker appends
+        its record before applying it.  The entries arrive through the
+        feeds; the bytes are counted when the record is encoded."""
+        self._seal()
+        self._encoder.seq = seq
+        self._encoder.epoch = epoch
+        return 0
 
     def wal_sync(self) -> None:
         self._call("wal_sync")
@@ -624,22 +732,29 @@ class ShardClient:
     def shutdown(self) -> None:
         """Stop the worker and reap the process.  Idempotent.
 
-        Escalation: BYE + drain trailing action frames until EOF, join
-        with a deadline, then terminate, then kill — a wedged or dead
-        worker never leaks a child process."""
+        Escalation: queued records + BYE, dispatch trailing action
+        frames until EOF, join with a deadline, then terminate, then
+        kill — a wedged or dead worker never leaks a child process.  A
+        trailing dispatch that raised is re-raised once the worker is
+        reaped."""
         already_closed = self._closed
-        self._closed = True
+        error = None
         if not already_closed:
+            actions: list[bytes] = []
             try:
-                self._sock.sendall(wire.encode_frame(wire.BYE))
+                self._seal()
+                self._outbox.append(wire.encode_frame(wire.BYE))
+                self._send_outbox()
+                self._closed = True
                 self._sock.settimeout(SHUTDOWN_GRACE)
                 while True:
                     frame_type, payload = self._recv_frame()
-                    if frame_type == wire.ACTION \
-                            and self.dispatch is not None:
-                        self.dispatch(wire.decode_pickled(payload))
+                    if frame_type == wire.ACTION:
+                        actions.append(payload)
             except (WorkerError, WireError, OSError):
-                pass  # crashed, wedged or already gone; escalate below
+                pass  # closed, crashed, wedged or gone; escalate below
+            error = self._dispatch_all(actions)
+        self._closed = True
         try:
             self._sock.close()
         except OSError:
@@ -651,6 +766,8 @@ class ShardClient:
         if self.process.is_alive():
             self.process.kill()
             self.process.join(1.0)
+        if error is not None:
+            raise error
 
 
 __all__ = ["HANDSHAKE_TIMEOUT", "SHUTDOWN_GRACE", "ShardClient",

@@ -335,6 +335,11 @@ class RuleEngine:
         self._truth: dict[str, bool] = {}
         self._state: dict[str, RuleState] = {}
         self._holders: dict[str, tuple[str, ActionSpec]] = {}  # udn -> (rule, spec)
+        # rule -> {udn: the udn's insertion rank in _holders}: releasing a
+        # rule's devices reads its own entries instead of scanning every
+        # held device, and sorting by rank keeps the scan's release order.
+        self._held_by: dict[str, dict[str, int]] = {}
+        self._holder_rank = 0
         self._held_atom_rules: dict[str, set[str]] = {}  # atom key -> rule names
         # Pending held-duration recheck timers, as (fire time, atom key).
         # Tracked so a snapshot can re-arm the *exact* pending set —
@@ -990,7 +995,17 @@ class RuleEngine:
 
     def _grant(self, rule: Rule, spec: ActionSpec, is_primary: bool,
                order: PriorityOrder | None) -> None:
-        self._holders[spec.device_udn] = (rule.name, spec)
+        udn = spec.device_udn
+        previous = self._holders.get(udn)
+        if previous is None:
+            self._holder_rank += 1
+            rank = self._holder_rank
+        else:
+            # Overwriting keeps the udn's place in _holders, so it keeps
+            # its rank too.
+            rank = self._unindex_holder(previous[0], udn)
+        self._holders[udn] = (rule.name, spec)
+        self._held_by.setdefault(rule.name, {})[udn] = rank
         self._set_state(
             rule.name, RuleState.ACTIVE if is_primary else RuleState.FALLBACK
         )
@@ -1023,6 +1038,7 @@ class RuleEngine:
     ) -> list[tuple[Rule, ActionSpec, bool]]:
         """Take the device away from its current holder."""
         holder_name, holder_spec = self._holders.pop(udn)
+        self._unindex_holder(holder_name, udn)
         was_primary = holder_spec == holder_rule.action
         self._trace("preempt", holder_name, udn,
                     f"preempted by {winner.name!r}")
@@ -1076,8 +1092,20 @@ class RuleEngine:
             if token is not None:
                 spans.span_end(token)
 
+    def _unindex_holder(self, rule_name: str, udn: str) -> int:
+        """Drop one device from a rule's holdings; returns its rank."""
+        held = self._held_by[rule_name]
+        rank = held.pop(udn)
+        if not held:
+            del self._held_by[rule_name]
+        return rank
+
     def _release_holdings(self, rule_name: str) -> None:
-        freed = [udn for udn, (name, _) in self._holders.items() if name == rule_name]
+        held = self._held_by.pop(rule_name, None)
+        if not held:
+            return
+        freed = sorted(held, key=held.__getitem__) if len(held) > 1 \
+            else list(held)
         for udn in freed:
             del self._holders[udn]
         for udn in freed:
@@ -1220,8 +1248,12 @@ class RuleEngine:
         for name, value in snapshot["state"].items():
             self._state[name] = RuleState(value)
         self._holders.clear()
-        for udn, (name, spec) in snapshot["holders"].items():
+        self._held_by.clear()
+        for rank, (udn, (name, spec)) in enumerate(
+                snapshot["holders"].items(), start=self._holder_rank + 1):
             self._holders[udn] = (name, _spec_from_jsonable(spec))
+            self._held_by.setdefault(name, {})[udn] = rank
+        self._holder_rank += len(self._holders)
         self._disabled_dirty.clear()
         self._disabled_dirty.update(
             name for name in snapshot["disabled_dirty"] if name in database

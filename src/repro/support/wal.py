@@ -2,35 +2,42 @@
 
 One WAL file per shard per checkpoint generation.  Each record is::
 
-    [u32 length][u32 crc32][length bytes of UTF-8 JSON payload]
+    [u32 length][u32 crc32][length bytes of record body]
 
-(little-endian prefix, CRC over the payload bytes).  Records are
-appended *before* the batch they describe is applied, so a crash at any
-later point leaves the batch recoverable; a crash mid-append leaves a
-torn tail the reader truncates at.  ``fsync`` is batched — every
-``fsync_interval`` appends plus an explicit :meth:`WalWriter.sync` at
-checkpoints — which is where the A11 benchmark's ≤10% steady-state
-overhead budget comes from.
+(little-endian prefix, CRC over the body).  The body is opaque here: the
+cluster logs each drained batch as its typed batch record (see
+:class:`repro.cluster.wire.WireEncoder`), the same bytes a process
+shard receives in its BATCH frame.  Records are appended *before* the
+batch they describe is applied, so a crash at any later point leaves
+the batch recoverable; a crash mid-append leaves a torn tail the reader
+truncates at.  ``fsync`` is batched — every ``fsync_interval`` appends
+plus an explicit :meth:`WalWriter.sync` at checkpoints — which is where
+the A11 benchmark's ≤10% steady-state overhead budget comes from.
 
 The reader is deliberately forgiving at the tail and strict before it:
-a short prefix, short payload, CRC mismatch or undecodable JSON stops
-the scan and reports what was dropped, because a torn tail is exactly
-what a power cut during an append produces; anything *after* valid
-bytes is unreachable by construction (appends are sequential), so
-stopping loses only the suffix a real crash already lost.
+a short prefix, short body, CRC mismatch or a body the caller's decoder
+rejects stops the scan and reports what was dropped, because a torn
+tail is exactly what a power cut during an append produces; anything
+*after* valid bytes is unreachable by construction (appends are
+sequential), so stopping loses only the suffix a real crash already
+lost.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import Any, Callable
 
+from repro.errors import ReproError
 from repro.sim.faults import FaultInjector, SimulatedCrash
 
 _PREFIX = struct.Struct("<II")
+
+#: Bytes the framing adds to each record body.
+RECORD_PREFIX_SIZE = _PREFIX.size
 
 CRASH_BEFORE_APPEND = "wal-before-append"
 CRASH_TORN_APPEND = "wal-torn-append"
@@ -39,12 +46,6 @@ CRASH_AFTER_APPEND = "wal-after-append"
 WAL_CRASH_SITES = (
     CRASH_BEFORE_APPEND, CRASH_TORN_APPEND, CRASH_AFTER_APPEND,
 )
-
-
-def encode_record(payload: dict) -> bytes:
-    """One framed WAL record for a JSON payload."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return _PREFIX.pack(len(body), zlib.crc32(body)) + body
 
 
 @dataclass
@@ -89,14 +90,10 @@ class WalWriter:
         self._unsynced = 0
         self._handle = open(path, "ab")
 
-    def append(self, payload: dict) -> int:
-        """Frame and append one record; returns its size in bytes."""
-        return self.append_frame(encode_record(payload))
-
-    def append_frame(self, frame: bytes) -> int:
-        """Append one already-framed record (the durability plane
-        encodes once and ships the same bytes to local writers and
-        remote shard workers); returns its size in bytes."""
+    def append(self, body: bytes) -> int:
+        """CRC-frame and append one record body; returns the framed
+        size in bytes."""
+        frame = _PREFIX.pack(len(body), zlib.crc32(body)) + body
         faults = self.faults
         if faults is not None:
             faults.check(CRASH_BEFORE_APPEND)
@@ -134,11 +131,16 @@ class WalWriter:
         self._handle.close()
 
 
-def read_wal(path: str) -> tuple[list[dict], WalReadReport]:
-    """Scan a WAL file; returns the decodable record payloads plus a
-    report describing any truncation (torn tail, checksum mismatch,
-    undecodable payload).  A missing file reads as empty — a checkpoint
-    that crashed before creating its WAL recovers from snapshot alone.
+def read_wal(
+    path: str, decode: Callable[[bytes], Any] | None = None,
+) -> tuple[list, WalReadReport]:
+    """Scan a WAL file; returns its record bodies — passed through
+    ``decode`` when given, in file order, so a decoder may carry state
+    from record to record — plus a report describing any truncation
+    (torn tail, checksum mismatch, a body ``decode`` rejects with
+    ``ValueError`` or a library error).  A missing file reads as empty —
+    a checkpoint that crashed before creating its WAL recovers from
+    snapshot alone.
     """
     report = WalReadReport()
     try:
@@ -147,7 +149,7 @@ def read_wal(path: str) -> tuple[list[dict], WalReadReport]:
     except FileNotFoundError:
         return [], report
     report.total_bytes = len(data)
-    records: list[dict] = []
+    records: list = []
     offset = 0
     size = len(data)
     while offset < size:
@@ -167,13 +169,14 @@ def read_wal(path: str) -> tuple[list[dict], WalReadReport]:
             report.truncated = True
             report.reason = "checksum mismatch"
             break
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            report.truncated = True
-            report.reason = "undecodable payload"
-            break
-        records.append(payload)
+        if decode is not None:
+            try:
+                body = decode(body)
+            except (ValueError, ReproError):
+                report.truncated = True
+                report.reason = "undecodable payload"
+                break
+        records.append(body)
         report.records += 1
         offset = body_end
         report.valid_bytes = offset
@@ -184,9 +187,9 @@ __all__: list[str] = [
     "CRASH_AFTER_APPEND",
     "CRASH_BEFORE_APPEND",
     "CRASH_TORN_APPEND",
+    "RECORD_PREFIX_SIZE",
     "WAL_CRASH_SITES",
     "WalReadReport",
     "WalWriter",
-    "encode_record",
     "read_wal",
 ]

@@ -16,12 +16,14 @@ from repro.cluster.durability import (
     CRASH_SNAPSHOT_WRITE,
     MANIFEST_NAME,
 )
+from repro.cluster.wire import Event, WireEncoder
 from repro.errors import RecoveryError
 from repro.sim.events import Simulator
 from repro.sim.faults import FaultInjector, SimulatedCrash
-from repro.support.wal import WalWriter, encode_record, read_wal
+from repro.support.wal import RECORD_PREFIX_SIZE, WalWriter, read_wal
 from tests.cluster.recovery_stack import (
     HOME,
+    abandon,
     assert_equivalent,
     drive_durable,
     drive_uninterrupted,
@@ -75,8 +77,9 @@ def test_round_trip_restores_runtime_exactly(tmp_path):
     expected = expected_outcome(ops)
     server = durable_cluster(tmp_path)
     assert drive_durable(server, ops) is None
-    # Abrupt kill: no shutdown, no close — the WAL tail past the last
-    # checkpoint is all recovery gets.
+    # Abrupt kill: no shutdown — the WAL tail past the last checkpoint
+    # is all recovery gets.
+    abandon(server)
     restored, report = restore(tmp_path)
     assert report.ok()
     assert report.rules_restored == len(fresh_rules((HOME,)))
@@ -94,6 +97,7 @@ def test_restore_surfaces_recovery_metrics(tmp_path):
     ops = script(2)
     server = durable_cluster(tmp_path)
     assert drive_durable(server, ops) is None
+    abandon(server)
     restored, report = restore(tmp_path)
     counters = restored.telemetry()["bus"]["counters"]
     assert counters["recovery.replayed_records"] == \
@@ -119,6 +123,7 @@ def test_torn_tail_resumes_from_surviving_prefix(tmp_path):
     last_ckpt = max(i for i, op in enumerate(ops) if op[1] == "ckpt")
     cut = min(last_ckpt + 4, len(ops))
     assert drive_durable(server, ops[:cut]) is None
+    abandon(server)
     # The crash tore the final record mid-frame.
     path = wal_path_of(tmp_path)
     path.write_bytes(path.read_bytes()[:-3])
@@ -136,13 +141,14 @@ def test_checksum_corruption_drops_damaged_suffix(tmp_path):
     expected = expected_outcome(ops)
     server = durable_cluster(tmp_path)
     assert drive_durable(server, ops) is None
+    abandon(server)
     path = wal_path_of(tmp_path)
-    records, read_report = read_wal(str(path))
-    assert not read_report.truncated and len(records) >= 2
+    bodies, read_report = read_wal(str(path))
+    assert not read_report.truncated and len(bodies) >= 2
     # Flip one byte inside the middle record: it and everything after it
     # must be dropped, then re-fed from the op script.
-    middle = len(records) // 2
-    offset = sum(len(encode_record(record)) for record in records[:middle])
+    middle = len(bodies) // 2
+    offset = sum(RECORD_PREFIX_SIZE + len(body) for body in bodies[:middle])
     blob = bytearray(path.read_bytes())
     blob[offset + 10] ^= 0xFF
     path.write_bytes(bytes(blob))
@@ -160,14 +166,16 @@ def test_epoch_mismatch_stops_replay(tmp_path):
     expected = expected_outcome(ops)
     server = durable_cluster(tmp_path)
     assert drive_durable(server, ops) is None
+    abandon(server)
     # Forge a tail record carrying a future rule-churn epoch — as if a
-    # crashed churn checkpoint left the WAL ahead of the snapshot.
-    epoch = server.shards[0].epoch
+    # crashed churn checkpoint left the WAL ahead of the snapshot.  An
+    # event needs no key-table entry, so the forged record decodes.
+    encoder = WireEncoder()
+    encoder.seq = 10_000
+    encoder.epoch = server.shards[0].epoch + 1
     forged = WalWriter(str(wal_path_of(tmp_path)))
-    forged.append({
-        "seq": 10_000, "t": ops[-1][0] + 1.25, "epoch": epoch + 1,
-        "n": [["w", temp(HOME), 40.0]],
-    })
+    forged.append(encoder.encode_record(
+        ops[-1][0] + 1.25, [Event("returns home", "Tom", None)]))
     forged.close()
     restored, report = restore(tmp_path)
     assert report.shards[0].truncated
@@ -175,7 +183,7 @@ def test_epoch_mismatch_stops_replay(tmp_path):
     assert report.shards[0].records_replayed == \
         report.shards[0].wal_records - 1
     # Everything before the forged record was replayed, so the forged
-    # write must NOT be visible and the outcome matches the clean twin.
+    # event must NOT be visible and the outcome matches the clean twin.
     finish(restored, ops, resume_index(ops, restored.bus.applied_counts[0]))
     assert_equivalent(observe(restored), expected, "epoch mismatch")
     restored.shutdown()
@@ -196,6 +204,7 @@ def test_checkpoint_crash_recovers_previous_generation(tmp_path, site):
     server.durability.arm_faults(FaultInjector({site: 1}))
     with pytest.raises(SimulatedCrash):
         server.checkpoint()
+    abandon(server)
     # The manifest replace never happened: the previous generation is
     # still the committed one, and its WAL covers every op since.
     assert manifest_of(tmp_path)["snapshot_id"] == committed
@@ -233,6 +242,7 @@ def test_stale_epoch_batch_triggers_lazy_checkpoint(tmp_path):
     server.ingest(temp(HOME), 30.0)
     server.flush()
     assert manifest_of(tmp_path)["snapshot_id"] == first + 1
+    abandon(server)
     restored, report = restore(tmp_path, homes=(HOME, "home-9999"))
     assert report.ok()
     assert restored.rule_truth(f"{HOME}-cool")
@@ -256,6 +266,7 @@ def test_window_boundary_after_snapshot_still_fires(tmp_path):
 
     server = durable_cluster(tmp_path)
     assert drive_durable(server, ops) is None
+    abandon(server)
     restored, report = restore(tmp_path)
     assert report.ok()
     restored.simulator.run_until(4000.0)
@@ -285,6 +296,24 @@ def test_restore_rejects_unknown_format(tmp_path):
         restore(tmp_path)
 
 
+def test_restore_refuses_format_1_directory(tmp_path):
+    """A directory from before typed WAL records (format /1, JSON WAL
+    bodies) must be refused, not replayed as an empty tail."""
+    server = durable_cluster(tmp_path)
+    server.shutdown()
+    manifest = manifest_of(tmp_path)
+    manifest["format"] = "repro-cluster-snapshot/1"
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+    old_wal = WalWriter(str(wal_path_of(tmp_path)))
+    old_wal.append(json.dumps({
+        "seq": 1, "t": 1.25, "epoch": manifest_of(tmp_path)["snapshot_id"],
+        "n": [["w", temp(HOME), 30.0]],
+    }).encode())
+    old_wal.close()
+    with pytest.raises(RecoveryError, match="unsupported snapshot format"):
+        restore(tmp_path)
+
+
 def test_restore_needs_a_fresh_simulator(tmp_path):
     server = durable_cluster(tmp_path)
     server.simulator.run_until(100.25)
@@ -301,6 +330,7 @@ def test_missing_rule_definitions_are_reported(tmp_path):
     server.simulator.run_until(1.25)
     server.ingest(temp(HOME), 30.0)
     server.flush()
+    abandon(server)
     rules = [rule for rule in fresh_rules((HOME,))
              if rule.name != f"{HOME}-cool"]
     restored, report = restore_cluster(

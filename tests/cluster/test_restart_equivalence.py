@@ -28,6 +28,7 @@ from tests.cluster.recovery_stack import (
     HOME,
     HOMES,
     assert_equivalent,
+    abandon,
     drive_durable,
     drive_uninterrupted,
     end_time_of,
@@ -70,6 +71,7 @@ def run_crash_twin(tmp_path, seed, *, homes=(HOME,), shard_count=1,
             break
         restarts += 1
         assert restarts <= max_restarts, "crash/restore loop did not converge"
+        abandon(server)
         server, report = restore(tmp_path, homes)
         assert not report.rules_missing
         # Keep the (now spent) injector installed: the restored plane
@@ -137,6 +139,7 @@ def test_two_crashes_in_one_life(tmp_path):
             break
         crashes += 1
         assert crashes <= 6
+        abandon(server)
         server, report = restore(tmp_path)
         assert not report.rules_missing
         if plans:

@@ -1,13 +1,16 @@
 """Property/fuzz tests for the cluster wire codec.
 
-The codec sits under every byte the process backend moves, so these
-tests lean on hypothesis: round-trips over randomized batches, events
-and call payloads; framing survival under arbitrary stream chunking;
-rejection of truncated frames, unknown types and oversized lengths;
-and key-table resync after a reconnect."""
+The codec sits under every byte the process backend moves — and its
+batch records are the WAL's record bodies — so these tests lean on
+hypothesis: round-trips over randomized records (mixed value types,
+events, header fields) and call payloads; framing survival under
+arbitrary stream chunking; rejection of truncated frames and records,
+unknown types, oversized lengths and undefined key ids; and key-table
+resync after a reconnect."""
 
 from __future__ import annotations
 
+import json
 import struct
 
 import pytest
@@ -35,6 +38,18 @@ scalar_values = st.one_of(
 
 batches = st.lists(st.tuples(variable_names, scalar_values), max_size=32)
 
+events = st.builds(
+    wire.Event,
+    st.sampled_from(["returns home", "leaves home", "alarm"]),
+    st.one_of(st.none(), variable_names),
+    st.one_of(st.none(), st.lists(variable_names, max_size=4).map(sorted)),
+)
+
+entry_lists = st.lists(
+    st.one_of(st.tuples(variable_names, scalar_values), events),
+    max_size=24,
+)
+
 timestamps = st.floats(min_value=0.0, max_value=86_400.0,
                        allow_nan=False, allow_infinity=False)
 
@@ -60,6 +75,13 @@ def test_batch_roundtrip(t, writes):
     assert got_writes == list(writes)
 
 
+def side_table(payload: bytes) -> dict:
+    """The JSON side table at the end of a record (empty when absent)."""
+    *_, side_size = wire.RECORD_HEADER.unpack_from(payload)
+    return json.loads(payload[len(payload) - side_size:]) if side_size \
+        else {}
+
+
 @settings(max_examples=100, deadline=None)
 @given(t=timestamps, chunks=st.lists(batches, min_size=2, max_size=6))
 def test_batch_stream_roundtrip_shares_one_key_table(t, chunks):
@@ -69,8 +91,7 @@ def test_batch_stream_roundtrip_shares_one_key_table(t, chunks):
     defined: set[str] = set()
     for writes in chunks:
         _, payload = roundtrip_frame(encoder.encode_batch(t, writes))
-        _, defs, _, _ = wire.decode_pickled(payload)
-        for _, name in defs:
+        for name in side_table(payload).get("d", (0, []))[1]:
             assert name not in defined, "name re-defined on same connection"
             defined.add(name)
         _, got = decoder.decode_batch(payload)
@@ -86,12 +107,66 @@ def test_batch_stream_roundtrip_shares_one_key_table(t, chunks):
 )
 def test_event_roundtrip(t, event_type, subject, only):
     encoder, decoder = wire.WireEncoder(), wire.WireDecoder()
+    scope = sorted(only) if only is not None else None
     frame_type, payload = roundtrip_frame(
-        encoder.encode_event(t, event_type, subject, only))
-    assert frame_type == wire.EVENT
-    got_t, got_type, got_subject, got_only = decoder.decode_event(payload)
-    assert (got_t, got_type, got_subject) == (t, event_type, subject)
-    assert got_only == (sorted(only) if only is not None else None)
+        encoder.encode_batch(t, [wire.Event(event_type, subject, scope)]))
+    assert frame_type == wire.BATCH
+    got_t, (got,) = decoder.decode_batch(payload)
+    assert got_t == t
+    assert got == (event_type, subject, scope)
+    assert isinstance(got, wire.Event)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=timestamps,
+    seq=st.integers(min_value=0, max_value=2**63),
+    epoch=st.integers(min_value=0, max_value=2**32 - 1),
+    records=st.lists(entry_lists, min_size=1, max_size=4),
+    cuts=st.lists(st.integers(min_value=1, max_value=48), max_size=24),
+)
+def test_records_roundtrip_under_any_chunking(t, seq, epoch, records, cuts):
+    """Mixed float/str/frozenset/bool/None values and events, with the
+    header, survive one connection cut into arbitrary chunks."""
+    encoder, decoder = wire.WireEncoder(), wire.WireDecoder()
+    encoder.seq, encoder.epoch = seq, epoch
+    stream = b"".join(encoder.encode_batch(t, entries) for entries in records)
+    reader = wire.FrameReader()
+    payloads: list[bytes] = []
+    position = 0
+    for cut in cuts:
+        reader.feed(stream[position:position + cut])
+        position += cut
+        payloads.extend(payload for _, payload in reader.frames())
+    reader.feed(stream[position:])
+    payloads.extend(payload for _, payload in reader.frames())
+    reader.at_eof()
+    assert len(payloads) == len(records)
+    for payload, entries in zip(payloads, records):
+        record = decoder.decode_record(payload)
+        assert (record.seq, record.t, record.epoch) == (seq, t, epoch)
+        assert record.entries == list(entries)
+        for got, sent in zip(record.entries, entries):
+            assert type(got[1] if len(got) == 2 else got) is \
+                type(sent[1] if len(sent) == 2 else sent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=timestamps, entries=entry_lists.filter(bool),
+       drop=st.integers(min_value=1, max_value=64))
+def test_truncated_record_rejected(t, entries, drop):
+    payload = wire.WireEncoder().encode_record(t, entries)
+    with pytest.raises(WireError):
+        wire.WireDecoder().decode_record(payload[:max(0, len(payload) - drop)])
+
+
+def test_steady_float_batches_carry_no_side_table():
+    encoder = wire.WireEncoder()
+    writes = [(f"home-0001/sensor-{i}/temp", 21.5 + i) for i in range(4)]
+    encoder.encode_record(0.0, writes)  # defines the names
+    payload = encoder.encode_record(1.0, writes)
+    assert side_table(payload) == {}
+    assert len(payload) == wire.RECORD_HEADER.size + 4 * (8 + 8)
 
 
 def test_interning_shrinks_repeat_batches():
@@ -167,7 +242,8 @@ def test_undecodable_payloads_rejected():
     with pytest.raises(WireError):
         decoder.decode_batch(b'{"wrong": "shape"}')
     with pytest.raises(WireError):
-        decoder.decode_event(b"[1,2]")
+        decoder.decode_record(
+            wire.RECORD_HEADER.pack(0.0, 0, 0, 0, 3) + b"[1,")
     with pytest.raises(WireError):
         wire.decode_pickled(b"\x80\x05 garbage")
 

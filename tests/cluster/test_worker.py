@@ -281,3 +281,90 @@ def test_flush_folds_worker_counters_into_bus_registry():
     finally:
         server.shutdown()
     assert no_stray_children()
+
+
+@pytest.mark.parametrize("backend", ("thread", "process"))
+def test_raising_dispatch_leaves_every_shard_usable(backend):
+    """A dispatch callback that raises surfaces from the call that
+    delivered its action; the reply behind it is still read, so later
+    calls on every shard succeed."""
+    fired = []
+
+    def dispatch(spec):
+        fired.append(spec)
+        if len(fired) == 1:
+            raise RuntimeError("actuator offline")
+
+    simulator = Simulator()
+    server = ClusterServer(simulator, shard_count=2, backend=backend,
+                           dispatch=dispatch, coalesce=False)
+    try:
+        for home in HOMES[:2]:
+            for rule in build_rules(home):
+                server.register_rule(rule)
+        server.ingest(temp(HOMES[0]), 30.0)
+        server.ingest(temp(HOMES[1]), 30.0)
+        with pytest.raises(RuntimeError, match="actuator offline"):
+            server.flush()
+        server.ingest(temp(HOMES[0]), 18.0)
+        server.ingest(temp(HOMES[1]), 18.0)
+        server.flush()
+        assert server.rule_count() == 2 * len(build_rules(HOME))
+        assert [shard.rule_count() for shard in server.shards] == \
+            [sum(1 for name in server._shard_of_rule
+                 if server.shard_of_rule(name) == index)
+             for index in range(2)]
+        for home in HOMES[:2]:
+            assert server.rule_truth(f"{home}-heat") is True
+    finally:
+        server.shutdown()
+    assert no_stray_children()
+
+
+def test_each_wal_generation_decodes_on_its_own(tmp_path):
+    """The key table restarts with every WAL generation: a worker's WAL
+    decodes with a fresh decoder, with no pickle involved."""
+    import pickle
+
+    from repro.cluster import DurabilityPlane
+    from repro.cluster.wire import WireDecoder
+    from repro.support.wal import read_wal
+
+    simulator = Simulator()
+    server = ClusterServer(simulator, shard_count=1, backend="process",
+                           coalesce=False)
+    try:
+        for rule in build_rules(HOME):
+            server.register_rule(rule)
+        server.attach_durability(DurabilityPlane(str(tmp_path)))
+        for generation in range(2):
+            simulator.run_until(simulator.now + 1.25)
+            server.ingest(temp(HOME), 30.0 - generation)
+            server.ingest(f"{HOME}/locator:svc:place-Tom", "kitchen")
+            server.post_event("returns home", "Tom", home=HOME)
+            server.flush()
+            if generation == 0:
+                server.checkpoint()
+        server.durability.sync()
+        manifest = server.durability._manifest
+        path = tmp_path / manifest["shards"][0]["wal"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read_wal unpickled a record")
+
+        original = pickle.loads
+        pickle.loads = refuse
+        try:
+            records, report = read_wal(str(path),
+                                       WireDecoder().decode_record)
+        finally:
+            pickle.loads = original
+        assert report.ok() and len(records) == 1
+        (record,) = records
+        assert record.seq > 0
+        assert record.entries[:2] == [
+            (temp(HOME), 29.0), (f"{HOME}/locator:svc:place-Tom", "kitchen")]
+        assert record.entries[2].event_type == "returns home"
+    finally:
+        server.shutdown()
+    assert no_stray_children()

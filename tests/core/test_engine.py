@@ -265,6 +265,41 @@ class TestFallbacks:
         assert harness.engine.holder_of("recorder-1") is None
         assert harness.engine.rule_state("alan-tv") is RuleState.ACTIVE
 
+    def test_preempt_fallback_regrant_keeps_holdings_index(self, harness):
+        """Preempt -> fallback -> regrant -> release: every step leaves
+        the rule -> held-devices index equal to the holder table."""
+        engine = harness.engine
+
+        def assert_index_matches():
+            by_rule = {}
+            for udn, (name, _) in engine._holders.items():
+                by_rule.setdefault(name, []).append(udn)
+            assert {name: sorted(held) for name, held in
+                    engine._held_by.items()} == \
+                {name: sorted(held) for name, held in by_rule.items()}
+
+        harness.priorities.add_order(PriorityOrder("tv-1", ("Emily", "Alan")))
+        self._alan_with_recorder(harness)
+        harness.add_rule(make_rule("emily-tv", "Emily", in_room("Emily"),
+                                   action(device="tv-1", act="ShowMovie")))
+        engine.ingest("person:Alan:place", "living room")
+        assert_index_matches()
+        engine.ingest("person:Emily:place", "living room")  # preempt
+        assert engine.holder_of("recorder-1")[0] == "alan-tv"
+        assert engine.rule_state("alan-tv") is RuleState.FALLBACK
+        assert_index_matches()
+        engine.ingest("person:Emily:place", "hall")  # regrant upgrades
+        assert engine.holder_of("tv-1")[0] == "alan-tv"
+        assert engine.holder_of("recorder-1") is None
+        assert_index_matches()
+        engine.ingest("person:Alan:place", "hall")  # release
+        assert engine.holder_of("tv-1") is None
+        assert engine._held_by == {}
+        engine.ingest("person:Emily:place", "living room")
+        assert engine.holder_of("tv-1")[0] == "emily-tv"
+        assert [entry.kind for entry in engine.trace].count("preempt") == 1
+        assert_index_matches()
+
     def test_denied_without_fallback(self, harness):
         harness.priorities.add_order(PriorityOrder("tv-1", ("Emily", "Tom")))
         tom = make_rule("tom-tv", "Tom", in_room("Tom"),

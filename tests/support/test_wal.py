@@ -1,7 +1,6 @@
 """WAL framing/recovery (repro.support.wal) and the atomic-write
 helper (repro.support.fsio)."""
 
-import json
 import struct
 
 import pytest
@@ -12,8 +11,8 @@ from repro.support.wal import (
     CRASH_AFTER_APPEND,
     CRASH_BEFORE_APPEND,
     CRASH_TORN_APPEND,
+    RECORD_PREFIX_SIZE,
     WalWriter,
-    encode_record,
     read_wal,
 )
 
@@ -23,6 +22,10 @@ def _write(path, payloads, **kwargs):
     for payload in payloads:
         writer.append(payload)
     writer.close()
+
+
+def _body(seq, pad=""):
+    return f"record-{seq}{pad}".encode()
 
 
 # -- fsio ------------------------------------------------------------------------
@@ -52,7 +55,7 @@ def test_atomic_write_failure_keeps_previous_content(tmp_path):
 
 def test_wal_round_trip(tmp_path):
     path = tmp_path / "shard0.log"
-    payloads = [{"seq": i, "n": [["w", "var", float(i)]]} for i in range(40)]
+    payloads = [_body(i) for i in range(40)]
     _write(path, payloads, fsync_interval=7)
     records, report = read_wal(str(path))
     assert records == payloads
@@ -69,7 +72,7 @@ def test_missing_wal_reads_empty(tmp_path):
 
 def test_torn_tail_truncates_to_last_valid_record(tmp_path):
     path = tmp_path / "shard0.log"
-    payloads = [{"seq": i} for i in range(5)]
+    payloads = [_body(i) for i in range(5)]
     _write(path, payloads)
     blob = path.read_bytes()
     # Tear mid-way through the final record's payload.
@@ -82,7 +85,7 @@ def test_torn_tail_truncates_to_last_valid_record(tmp_path):
 
 def test_torn_prefix_truncates(tmp_path):
     path = tmp_path / "shard0.log"
-    _write(path, [{"seq": 1}])
+    _write(path, [_body(1)])
     with open(path, "ab") as handle:
         handle.write(struct.pack("<I", 99)[:3])  # 3 of 8 prefix bytes
     records, report = read_wal(str(path))
@@ -93,11 +96,11 @@ def test_torn_prefix_truncates(tmp_path):
 
 def test_checksum_corruption_truncates(tmp_path):
     path = tmp_path / "shard0.log"
-    payloads = [{"seq": i, "v": "x" * 20} for i in range(3)]
+    payloads = [_body(i, "x" * 20) for i in range(3)]
     _write(path, payloads)
     blob = bytearray(path.read_bytes())
     # Flip a byte inside the second record's payload.
-    first_len = len(encode_record(payloads[0]))
+    first_len = RECORD_PREFIX_SIZE + len(payloads[0])
     blob[first_len + 12] ^= 0xFF
     path.write_bytes(bytes(blob))
     records, report = read_wal(str(path))
@@ -108,8 +111,8 @@ def test_checksum_corruption_truncates(tmp_path):
 
 def test_valid_bytes_count_garbage_after_corruption(tmp_path):
     path = tmp_path / "shard0.log"
-    _write(path, [{"seq": 1}, {"seq": 2}])
-    good = len(encode_record({"seq": 1}))
+    _write(path, [_body(1), _body(2)])
+    good = RECORD_PREFIX_SIZE + len(_body(1))
     blob = bytearray(path.read_bytes())
     blob[good + 9] ^= 0x01
     path.write_bytes(bytes(blob))
@@ -125,11 +128,12 @@ def test_crash_before_append_loses_the_record(tmp_path):
     path = tmp_path / "shard0.log"
     writer = WalWriter(str(path), faults=FaultInjector(
         {CRASH_BEFORE_APPEND: 2}))
-    writer.append({"seq": 1})
+    writer.append(_body(1))
     with pytest.raises(SimulatedCrash):
-        writer.append({"seq": 2})
+        writer.append(_body(2))
+    writer.close()  # the process died; release the handle
     records, report = read_wal(str(path))
-    assert records == [{"seq": 1}]
+    assert records == [_body(1)]
     assert report.ok()
 
 
@@ -137,11 +141,12 @@ def test_crash_torn_append_leaves_recoverable_prefix(tmp_path):
     path = tmp_path / "shard0.log"
     writer = WalWriter(str(path), faults=FaultInjector(
         {CRASH_TORN_APPEND: 2}))
-    writer.append({"seq": 1})
+    writer.append(_body(1))
     with pytest.raises(SimulatedCrash):
-        writer.append({"seq": 2})
+        writer.append(_body(2))
+    writer.close()  # the process died; release the handle
     records, report = read_wal(str(path))
-    assert records == [{"seq": 1}]
+    assert records == [_body(1)]
     assert report.truncated  # half a frame really is on disk
 
 
@@ -149,11 +154,12 @@ def test_crash_after_append_keeps_the_record(tmp_path):
     path = tmp_path / "shard0.log"
     writer = WalWriter(str(path), faults=FaultInjector(
         {CRASH_AFTER_APPEND: 2}))
-    writer.append({"seq": 1})
+    writer.append(_body(1))
     with pytest.raises(SimulatedCrash):
-        writer.append({"seq": 2})
+        writer.append(_body(2))
+    writer.close()  # the process died; release the handle
     records, report = read_wal(str(path))
-    assert records == [{"seq": 1}, {"seq": 2}]
+    assert records == [_body(1), _body(2)]
     assert report.ok()
 
 
@@ -162,10 +168,30 @@ def test_fsync_interval_must_be_positive(tmp_path):
         WalWriter(str(tmp_path / "w.log"), fsync_interval=0)
 
 
-def test_payloads_are_compact_json(tmp_path):
+def test_bodies_are_stored_verbatim_after_the_prefix(tmp_path):
     path = tmp_path / "shard0.log"
-    _write(path, [{"seq": 1, "n": [["w", "a/b:c", 1.5]]}])
+    body = bytes(range(256))
+    _write(path, [body])
     blob = path.read_bytes()
-    body = blob[8:]
-    assert json.loads(body.decode()) == {"seq": 1, "n": [["w", "a/b:c", 1.5]]}
-    assert b" " not in body  # compact separators
+    assert len(blob) == RECORD_PREFIX_SIZE + len(body)
+    assert blob[RECORD_PREFIX_SIZE:] == body
+    length, _crc = struct.unpack_from("<II", blob)
+    assert length == len(body)
+
+
+def test_decoder_runs_in_file_order_and_a_rejected_body_truncates(tmp_path):
+    path = tmp_path / "shard0.log"
+    _write(path, [b"1", b"2", b"x", b"4"])
+    seen = []
+
+    def decode(body):
+        value = int(body)  # raises ValueError on b"x"
+        seen.append(value)
+        return value * 10
+
+    records, report = read_wal(str(path), decode)
+    assert records == [10, 20]
+    assert seen == [1, 2]
+    assert report.truncated
+    assert report.reason == "undecodable payload"
+    assert report.valid_bytes == 2 * (RECORD_PREFIX_SIZE + 1)
