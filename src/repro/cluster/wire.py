@@ -120,20 +120,14 @@ class FrameReader:
     def frames(self) -> Iterator[tuple[int, bytes]]:
         """Yield every complete ``(frame_type, payload)`` buffered so
         far, leaving any partial frame for the next :meth:`feed`."""
-        buffer = self._buffer
-        offset = 0
-        try:
-            while len(buffer) - offset >= HEADER_SIZE:
-                length, frame_type = decode_header(
-                    bytes(buffer[offset:offset + HEADER_SIZE]))
-                start = offset + HEADER_SIZE
-                end = start + length
-                if len(buffer) < end:
-                    return
-                offset = end
-                yield frame_type, bytes(buffer[start:end])
-        finally:
-            del buffer[:offset]
+        while len(self._buffer) >= HEADER_SIZE:
+            length, frame_type = decode_header(bytes(self._buffer[:HEADER_SIZE]))
+            end = HEADER_SIZE + length
+            if len(self._buffer) < end:
+                return
+            payload = bytes(self._buffer[HEADER_SIZE:end])
+            del self._buffer[:end]
+            yield frame_type, payload
 
     def at_eof(self) -> None:
         """Call when the stream closes: leftover bytes mean the last

@@ -379,6 +379,7 @@ class ShardClient:
         self._feed_t = 0.0
         self._outbox: list[bytes] = []
         self._posted: int | None = None    # barrier sent, not yet awaited
+        self._settled: list | None = None  # its reply, read early
         self._next_req = 0
         self._closed = False
         try:
@@ -427,8 +428,7 @@ class ShardClient:
             if self.process.is_alive():
                 self.process.terminate()
             self.process.join(1.0)
-            if child_sock.fileno() != -1:
-                child_sock.close()
+            child_sock.close()
             raise
 
     # -- transport -------------------------------------------------------------
@@ -486,14 +486,12 @@ class ShardClient:
         """Dispatch forwarded actions in order; returns the first
         exception a dispatch raised (the rest still run)."""
         error = None
-        if self.dispatch is None:
-            return None
-        for payload in actions:
-            try:
-                self.dispatch(wire.decode_pickled(payload))
-            except Exception as exc:
-                if error is None:
-                    error = exc
+        if self.dispatch is not None:
+            for payload in actions:
+                try:
+                    self.dispatch(wire.decode_pickled(payload))
+                except Exception as exc:
+                    error = error or exc
         return error
 
     def _await(self, req_id: int) -> Any:
@@ -529,24 +527,30 @@ class ShardClient:
             raise value
         return value
 
-    def _post(self, frame_of: Callable[[int], bytes]) -> int:
-        """Send the queued records and one call in a single packet;
-        returns the call's request id."""
+    def _new_request(self) -> int:
         req_id = self._next_req
         self._next_req += 1
-        self._seal()
-        self._outbox.append(frame_of(req_id))
-        self._send_outbox()
         return req_id
 
+    def _send_call(self, frame: bytes) -> None:
+        """Send the queued records and one call frame in a single
+        packet."""
+        self._settle_barrier()
+        self._seal()
+        self._outbox.append(frame)
+        self._send_outbox()
+
     def _call(self, method: str, *args) -> Any:
-        return self._await(self._post(lambda req_id: wire.encode_call(
-            req_id, method, self.simulator.now, args)))
+        req_id = self._new_request()
+        self._send_call(
+            wire.encode_call(req_id, method, self.simulator.now, args))
+        return self._await(req_id)
 
     def _call_p(self, method: str, *args, **kwargs) -> Any:
-        return self._await(self._post(
-            lambda req_id: wire.encode_call_pickled(
-                req_id, method, self.simulator.now, args, kwargs)))
+        req_id = self._new_request()
+        self._send_call(wire.encode_call_pickled(
+            req_id, method, self.simulator.now, args, kwargs))
+        return self._await(req_id)
 
     # -- rule lifecycle --------------------------------------------------------
 
@@ -624,15 +628,25 @@ class ShardClient:
     def post_barrier(self) -> None:
         """Send the queued records and the counter barrier in one packet;
         :meth:`barrier` awaits the reply."""
-        self._posted = self._post(
-            lambda req_id: wire.encode_call(
-                req_id, "barrier", self.simulator.now, ()))
+        req_id = self._new_request()
+        self._send_call(
+            wire.encode_call(req_id, "barrier", self.simulator.now, ()))
+        self._posted = req_id
+
+    def _settle_barrier(self) -> None:
+        """Read a posted barrier's reply before another call goes out: a
+        dispatch callback may call into this shard while
+        :meth:`~repro.cluster.server.ClusterServer.flush` awaits another
+        worker, and its call must not read the barrier's reply."""
+        if self._posted is not None:
+            req_id, self._posted = self._posted, None
+            self._settled = self._await(req_id)
 
     def barrier(self) -> tuple[int, int]:
-        if self._posted is None:
+        if self._posted is None and self._settled is None:
             self.post_barrier()
-        req_id, self._posted = self._posted, None
-        flips, touched = self._await(req_id)
+        self._settle_barrier()
+        (flips, touched), self._settled = self._settled, None
         return (flips, touched)
 
     def take_logged_bytes(self) -> int:

@@ -262,6 +262,20 @@ def test_undefined_key_id_rejected():
         stale.decode_batch(roundtrip_frame(second)[1])
 
 
+def test_undefined_value_id_rejected():
+    encoder = wire.WireEncoder()
+    warm, stale = wire.WireDecoder(), wire.WireDecoder()
+    first = encoder.encode_record(0.0, [("a/place", 1.5)])
+    stale.decode_record(first)
+    warm.decode_record(first)
+    # The warm decoder learns the interned room; the stale one misses it.
+    warm.decode_record(encoder.encode_record(1.0, [("a/place", "kitchen")]))
+    again = encoder.encode_record(2.0, [("a/place", "kitchen")])
+    assert warm.decode_record(again).entries == [("a/place", "kitchen")]
+    with pytest.raises(WireError, match="never defined"):
+        stale.decode_record(again)
+
+
 def test_key_table_resync_after_reconnect():
     encoder = wire.WireEncoder()
     old_decoder = wire.WireDecoder()

@@ -28,6 +28,7 @@ from tests.cluster.recovery_stack import (
     HOME,
     HOMES,
     build_rules,
+    humid,
     temp,
     tv_orders,
 )
@@ -283,6 +284,58 @@ def test_flush_folds_worker_counters_into_bus_registry():
     assert no_stray_children()
 
 
+class _LoggedSocket:
+    """A client socket that logs its sends and receives."""
+
+    def __init__(self, sock, shard_id, log):
+        self._sock = sock
+        self._shard_id = shard_id
+        self._log = log
+
+    def sendall(self, data):
+        self._log.append(("send", self._shard_id))
+        self._sock.sendall(data)
+
+    def recv(self, size):
+        self._log.append(("recv", self._shard_id))
+        return self._sock.recv(size)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_flush_sends_each_worker_one_packet():
+    """Each worker's drained record and the counter barrier leave in one
+    send, every send precedes the first receive, and the actions the
+    batch fires come back with the barrier's reply."""
+    simulator = Simulator()
+    fired = []
+    server = ClusterServer(simulator, shard_count=2, backend="process",
+                           dispatch=fired.append, coalesce=False)
+    homes = ("home-0000", "home-0004")    # one per shard
+    log = []
+    try:
+        for home in homes:
+            for rule in build_rules(home):
+                server.register_rule(rule)
+        for shard in server.shards:
+            shard._sock = _LoggedSocket(shard._sock, shard.shard_id, log)
+        for round_index, value in enumerate((30.0, 18.0, 30.0)):
+            simulator.run_until(round_index + 1.25)
+            for home in homes:
+                server.ingest(temp(home), value)
+            assert all(server.bus.pending(index) for index in range(2))
+            log.clear()
+            before = len(fired)
+            server.flush()
+            assert sorted(log[:2]) == [("send", 0), ("send", 1)]
+            assert all(kind == "recv" for kind, _ in log[2:])
+            assert len(fired) > before
+    finally:
+        server.shutdown()
+    assert no_stray_children()
+
+
 @pytest.mark.parametrize("backend", ("thread", "process"))
 def test_raising_dispatch_leaves_every_shard_usable(backend):
     """A dispatch callback that raises surfaces from the call that
@@ -321,9 +374,44 @@ def test_raising_dispatch_leaves_every_shard_usable(backend):
     assert no_stray_children()
 
 
-def test_each_wal_generation_decodes_on_its_own(tmp_path):
-    """The key table restarts with every WAL generation: a worker's WAL
-    decodes with a fresh decoder, with no pickle involved."""
+@pytest.mark.parametrize("backend", ("thread", "process"))
+def test_dispatch_may_call_every_shard_during_flush(backend):
+    """While flush awaits one worker's barrier, a dispatch callback may
+    call into any shard, one whose barrier reply is still unread
+    included."""
+    simulator = Simulator()
+    homes = ("home-0000", "home-0004")    # one per shard
+    per_shard = len(build_rules(HOME))
+    counts = []
+    server = None
+
+    def dispatch(spec):
+        counts.append([shard.rule_count() for shard in server.shards])
+
+    server = ClusterServer(simulator, shard_count=2, backend=backend,
+                           dispatch=dispatch, coalesce=False)
+    try:
+        for home in homes:
+            for rule in build_rules(home):
+                server.register_rule(rule)
+        for home in homes:
+            server.ingest(temp(home), 30.0)
+            server.ingest(humid(home), 50.0)
+        server.flush()
+        assert len(counts) >= 2
+        assert all(count == [per_shard, per_shard] for count in counts)
+        assert server.bus.stats.atoms_flipped > 0
+        assert server.rule_count() == 2 * per_shard
+    finally:
+        server.shutdown()
+    assert no_stray_children()
+
+
+@pytest.mark.parametrize("backend", ("thread", "process"))
+def test_each_wal_generation_decodes_on_its_own(tmp_path, backend):
+    """The key table restarts with every WAL generation: a shard's WAL
+    (written in a worker, or in-thread) decodes with a fresh decoder,
+    with no pickle involved."""
     import pickle
 
     from repro.cluster import DurabilityPlane
@@ -331,7 +419,7 @@ def test_each_wal_generation_decodes_on_its_own(tmp_path):
     from repro.support.wal import read_wal
 
     simulator = Simulator()
-    server = ClusterServer(simulator, shard_count=1, backend="process",
+    server = ClusterServer(simulator, shard_count=1, backend=backend,
                            coalesce=False)
     try:
         for rule in build_rules(HOME):
