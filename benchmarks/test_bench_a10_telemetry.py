@@ -64,7 +64,7 @@ def _build_engine():
     population = build_columnar_population(RULES, seed=f"a10-{RULES}")
     engine = RuleEngine(
         population.database, PriorityManager(), Simulator(),
-        dispatch=lambda spec: None, columnar=True, max_trace=10_000,
+        dispatch=lambda spec: None, max_trace=10_000,
     )
     for rule in population.database.all_rules():
         engine.rule_added(rule)

@@ -46,7 +46,7 @@ HISTORY = 1_024 if BENCH_SMOKE else 4_096  # total writes in the life
 
 def _build_cluster(population):
     cluster = ClusterServer(
-        Simulator(), shard_count=1, coalesce=False, columnar=True,
+        Simulator(), shard_count=1, coalesce=False,
     )
     for rule in population.database.all_rules():
         cluster.register_rule(rule, validate=False)

@@ -8,14 +8,18 @@ scaling with *distinct context* rather than rule count:
 
 * **ingest** — a templated population (``templates`` distinct two-atom
   clauses × ``duplication`` copies) absorbs a shared-sensor toggle that
-  flips every distinct atom while every clause stays false.  With the
-  shared evaluation network (``shared=True``) the cost is O(templates),
-  ~flat as duplication grows; the per-rule ablation (``shared=False``)
-  pays O(templates × duplication).  Target: ≥5× at 100× duplication.
+  flips every distinct atom while every clause stays false.  Clause
+  sharing in the columnar state makes the cost O(templates), ~flat as
+  duplication grows (gated below).
 * **clock tick** — a dense window population (boundaries spread across
-  the day).  The time-window wheel (``wheel=True``) wakes only rules
-  whose boundary a tick crossed, ~flat in the population; the per-tick
-  ablation re-evaluates every window rule each tick.  Target: ≥10×.
+  the day).  The time-window wheel wakes only rules whose boundary a
+  tick crossed: O(crossings).
+
+The per-rule and per-tick ablations these rows were measured against
+were deleted once their point was made; their last full-size ledger
+rows stand as the comparison: per-rule ingest 18.06 ms vs 0.097 ms
+shared at 100× duplication, per-tick re-evaluation 20.6 ms vs 0.077 ms
+for the wheel at 4096 window rules.
 """
 
 import pytest
@@ -34,12 +38,6 @@ TEMPLATES = 25 if BENCH_SMOKE else 50
 DUPLICATIONS = (1, 20) if BENCH_SMOKE else (1, 10, 100)
 WINDOW_SWEEP = (256, 1024) if BENCH_SMOKE else (512, 4096)
 
-# Acceptance floors: ≥5× ingest at 100× duplication and ≥10× tick on the
-# dense-window population; smoke sizes shrink the advantage, so CI
-# guards a proportionally smaller floor.
-SHARED_SPEEDUP_FLOOR = 3.0 if BENCH_SMOKE else 5.0
-WHEEL_SPEEDUP_FLOOR = 5.0 if BENCH_SMOKE else 10.0
-
 TICK_PERIOD = 60.0
 
 MEDIANS: dict[tuple[str, int], float] = {}
@@ -57,22 +55,18 @@ def _build_templated(duplication):
         templates=TEMPLATES, duplication=duplication,
         seed=f"a7-{duplication}",
     )
-    simulator = Simulator()
-    engines = {}
-    for shared in (True, False):
-        engine = RuleEngine(
-            population.database, PriorityManager(), simulator,
-            dispatch=_discard, shared=shared, max_trace=10_000,
-        )
-        for rule in population.database.all_rules():
-            engine.rule_added(rule)
-        # Prime: the first reading fans out to every atom regardless of
-        # strategy; the sweep measures the steady-state toggle.
-        engine.ingest(population.hot_variable, population.toggle_low)
-        engine.ingest(population.hot_variable, population.toggle_high)
-        engine.ingest(population.hot_variable, population.toggle_low)
-        engines[shared] = engine
-    return population, engines
+    engine = RuleEngine(
+        population.database, PriorityManager(), Simulator(),
+        dispatch=_discard, max_trace=10_000,
+    )
+    for rule in population.database.all_rules():
+        engine.rule_added(rule)
+    # Prime: the first reading fans out to every atom; the sweep
+    # measures the steady-state toggle.
+    engine.ingest(population.hot_variable, population.toggle_low)
+    engine.ingest(population.hot_variable, population.toggle_high)
+    engine.ingest(population.hot_variable, population.toggle_low)
+    return population, engine
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +93,9 @@ def _toggling_ingest(engine, population):
 
 @pytest.mark.parametrize("duplication", DUPLICATIONS)
 def test_shared_ingest(benchmark, templated_setups, duplication):
-    population, engines = templated_setups[duplication]
+    population, engine = templated_setups[duplication]
 
-    benchmark(_toggling_ingest(engines[True], population))
+    benchmark(_toggling_ingest(engine, population))
 
     median = median_seconds(benchmark)
     MEDIANS[("shared", duplication)] = median
@@ -110,39 +104,19 @@ def test_shared_ingest(benchmark, templated_setups, duplication):
            "~flat in duplication factor", median)
 
 
-@pytest.mark.parametrize("duplication", DUPLICATIONS)
-def test_per_rule_ingest(benchmark, templated_setups, duplication):
-    population, engines = templated_setups[duplication]
-
-    benchmark(_toggling_ingest(engines[False], population))
-
-    median = median_seconds(benchmark)
-    MEDIANS[("per-rule", duplication)] = median
-    report("A7", f"per-rule ingest @ {duplication}x duplication "
-                 f"({population.total_rules} rules, ablation)",
-           "n/a (ablation)", median)
-
-
 def test_ingest_scaling_shape():
-    """Acceptance: shared ingest ≥5× faster than the per-rule ablation
-    at 100× duplication, and ~flat across the duplication sweep."""
-    needed = [(mode, duplication) for mode in ("shared", "per-rule")
+    """Acceptance: shared ingest ~flat across the duplication sweep."""
+    needed = [("shared", duplication)
               for duplication in (DUPLICATIONS[0], DUPLICATIONS[-1])]
     if any(key not in MEDIANS for key in needed):
         pytest.skip("ingest sweep did not run (filtered?)")
     peak = DUPLICATIONS[-1]
-    speedup = MEDIANS[("per-rule", peak)] / MEDIANS[("shared", peak)]
     flatness = (
         MEDIANS[("shared", peak)] / MEDIANS[("shared", DUPLICATIONS[0])]
     )
     print(
-        f"\n  [A7] ingest @ {peak}x duplication: shared x{speedup:.1f} "
-        f"faster than per-rule; shared growth x{flatness:.2f} "
-        f"across {DUPLICATIONS[0]}x -> {peak}x"
-    )
-    assert speedup >= SHARED_SPEEDUP_FLOOR, (
-        f"shared network only x{speedup:.2f} over the per-rule path at "
-        f"{peak}x duplication (floor x{SHARED_SPEEDUP_FLOOR:g})"
+        f"\n  [A7] shared ingest grew x{flatness:.2f} "
+        f"across {DUPLICATIONS[0]}x -> {peak}x duplication"
     )
     assert flatness <= 3.0, (
         f"shared ingest grew x{flatness:.2f} across the duplication "
@@ -155,17 +129,14 @@ def test_ingest_scaling_shape():
 
 def _build_windows(count):
     population = build_window_population(count, seed=f"a7-w{count}")
-    sides = {}
-    for wheel in (True, False):
-        simulator = Simulator()
-        engine = RuleEngine(
-            population.database, PriorityManager(), simulator,
-            dispatch=_discard, wheel=wheel, max_trace=10_000,
-        )
-        for rule in population.database.all_rules():
-            engine.rule_added(rule)
-        sides[wheel] = (simulator, engine)
-    return sides
+    simulator = Simulator()
+    engine = RuleEngine(
+        population.database, PriorityManager(), simulator,
+        dispatch=_discard, max_trace=10_000,
+    )
+    for rule in population.database.all_rules():
+        engine.rule_added(rule)
+    return simulator, engine
 
 
 @pytest.fixture(scope="module")
@@ -183,46 +154,10 @@ def _ticking(simulator, engine):
 
 @pytest.mark.parametrize("count", WINDOW_SWEEP)
 def test_wheel_tick(benchmark, window_setups, count):
-    simulator, engine = window_setups[count][True]
+    simulator, engine = window_setups[count]
 
     benchmark(_ticking(simulator, engine))
 
-    median = median_seconds(benchmark)
-    MEDIANS[("wheel", count)] = median
     report("A7", f"wheel clock tick @ {count} window rules",
-           "O(crossings): ~flat in window-rule count", median)
-
-
-@pytest.mark.parametrize("count", WINDOW_SWEEP)
-def test_per_tick_reevaluation(benchmark, window_setups, count):
-    simulator, engine = window_setups[count][False]
-
-    benchmark.pedantic(
-        _ticking(simulator, engine),
-        rounds=20, iterations=1, warmup_rounds=2,
-    )
-
-    median = median_seconds(benchmark)
-    MEDIANS[("per-tick", count)] = median
-    report("A7", f"per-tick re-evaluation @ {count} window rules "
-                 "(ablation)",
-           "n/a (ablation)", median)
-
-
-def test_tick_scaling_shape():
-    """Acceptance: the wheel beats blanket per-tick re-evaluation ≥10×
-    on the dense-window population."""
-    needed = [(mode, count) for mode in ("wheel", "per-tick")
-              for count in (WINDOW_SWEEP[0], WINDOW_SWEEP[-1])]
-    if any(key not in MEDIANS for key in needed):
-        pytest.skip("tick sweep did not run (filtered?)")
-    peak = WINDOW_SWEEP[-1]
-    speedup = MEDIANS[("per-tick", peak)] / MEDIANS[("wheel", peak)]
-    print(
-        f"\n  [A7] tick @ {peak} window rules: wheel x{speedup:.1f} "
-        f"faster than per-tick re-evaluation"
-    )
-    assert speedup >= WHEEL_SPEEDUP_FLOOR, (
-        f"wheel only x{speedup:.2f} over per-tick re-evaluation at "
-        f"{peak} window rules (floor x{WHEEL_SPEEDUP_FLOOR:g})"
-    )
+           "O(crossings): ~flat in window-rule count",
+           median_seconds(benchmark))

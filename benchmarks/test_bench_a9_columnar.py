@@ -1,6 +1,6 @@
-"""A9 — columnar batch ingest vs the object-graph path.
+"""A9 — columnar batch ingest.
 
-The columnar backend keeps global atom truth, per-clause false-atom
+The columnar state keeps global atom truth, per-clause false-atom
 counters and clause→rule fan-out in flat arrays (``repro.core.columnar``)
 and sweeps a numeric write's whole candidate threshold window with one
 vectorized comparison instead of a per-atom Python ``evaluate`` loop.
@@ -13,11 +13,14 @@ and clause-counter cost from rule evaluation and arbitration.
 
 Two sweeps:
 
-* **rule count** at a fixed batch size — the columnar path should win by
-  an order of magnitude at 10k+ rules (acceptance floor ≥5×);
+* **rule count** at a fixed batch size;
 * **batch size** at the peak rule count — per-write cost should be ~flat
-  in batch size for both paths (batching amortizes only call overhead;
-  per-event semantics are preserved write by write).
+  in batch size (batching amortizes only call overhead; per-event
+  semantics are preserved write by write), gated below.
+
+The object-graph ablation these rows were measured against was deleted
+once its point was made; its last full-size ledger row stands as the
+comparison: 4559 ms per batch of 64 at 10k rules vs 70.4 ms columnar.
 
 Counter rows (atoms flipped / clauses touched per batch) land in the
 ledger alongside the timings so regressions in sweep *width* are as
@@ -44,12 +47,12 @@ RULES_PEAK = 5_000 if BENCH_SMOKE else 10_000
 BATCH_SIZE = 64
 BATCH_SWEEP = (1,) if BENCH_SMOKE else (1, 256)
 
-# Acceptance floor: ≥5× columnar over the object path at ≥10k rules with
-# batch ≥64; smoke sizes shrink the vectorization advantage, so CI
-# guards a proportionally smaller floor.
-COLUMNAR_SPEEDUP_FLOOR = 2.0 if BENCH_SMOKE else 5.0
+# Acceptance ceiling: the largest measured batch may cost at most this
+# many times batch 1, per write (full ledger rows: 1.02 / 1.10 / 1.12 ms
+# per write at batch 1 / 64 / 256).
+PER_WRITE_GROWTH_CEILING = 2.0
 
-MEDIANS: dict[tuple[str, int, int], float] = {}
+MEDIANS: dict[tuple[int, int], float] = {}  # (rules, batch) -> s
 
 
 def _discard(spec) -> None:
@@ -58,22 +61,18 @@ def _discard(spec) -> None:
 
 def _build(rules):
     population = build_columnar_population(rules, seed=f"a9-{rules}")
-    simulator = Simulator()
-    engines = {}
-    for columnar in (True, False):
-        engine = RuleEngine(
-            population.database, PriorityManager(), simulator,
-            dispatch=_discard, columnar=columnar, max_trace=10_000,
-        )
-        for rule in population.database.all_rules():
-            engine.rule_added(rule)
-        # Prime: the first reading initializes every atom regardless of
-        # strategy; the sweep measures the steady-state band jump.
-        engine.ingest(population.hot_variable, population.toggle_low)
-        engine.ingest(population.hot_variable, population.toggle_high)
-        engine.ingest(population.hot_variable, population.toggle_low)
-        engines[columnar] = engine
-    return population, engines
+    engine = RuleEngine(
+        population.database, PriorityManager(), Simulator(),
+        dispatch=_discard, max_trace=10_000,
+    )
+    for rule in population.database.all_rules():
+        engine.rule_added(rule)
+    # Prime: the first reading initializes every atom; the sweep
+    # measures the steady-state band jump.
+    engine.ingest(population.hot_variable, population.toggle_low)
+    engine.ingest(population.hot_variable, population.toggle_high)
+    engine.ingest(population.hot_variable, population.toggle_low)
+    return population, engine
 
 
 @pytest.fixture(scope="module")
@@ -108,31 +107,15 @@ def _batched_ingest(engine, population, size):
 
 @pytest.mark.parametrize("rules", RULE_SWEEP)
 def test_columnar_batch_ingest(benchmark, setups, rules):
-    population, engines = setups[rules]
+    population, engine = setups[rules]
 
-    benchmark(_batched_ingest(engines[True], population, BATCH_SIZE))
+    benchmark(_batched_ingest(engine, population, BATCH_SIZE))
 
     median = median_seconds(benchmark)
-    MEDIANS[("columnar", rules, BATCH_SIZE)] = median
+    MEDIANS[(rules, BATCH_SIZE)] = median
     report("A9", f"columnar batch ingest @ {rules} rules "
                  f"(batch {BATCH_SIZE})",
            "vectorized sweep: ~10x over object path", median)
-
-
-@pytest.mark.parametrize("rules", RULE_SWEEP)
-def test_object_batch_ingest(benchmark, setups, rules):
-    population, engines = setups[rules]
-
-    benchmark.pedantic(
-        _batched_ingest(engines[False], population, BATCH_SIZE),
-        rounds=5, iterations=1, warmup_rounds=1,
-    )
-
-    median = median_seconds(benchmark)
-    MEDIANS[("object", rules, BATCH_SIZE)] = median
-    report("A9", f"object-path batch ingest @ {rules} rules "
-                 f"(batch {BATCH_SIZE}, ablation)",
-           "n/a (ablation)", median)
 
 
 # -- ingest vs batch size ------------------------------------------------------
@@ -140,31 +123,15 @@ def test_object_batch_ingest(benchmark, setups, rules):
 
 @pytest.mark.parametrize("size", BATCH_SWEEP)
 def test_columnar_batch_size(benchmark, setups, size):
-    population, engines = setups[RULES_PEAK]
+    population, engine = setups[RULES_PEAK]
 
-    benchmark(_batched_ingest(engines[True], population, size))
+    benchmark(_batched_ingest(engine, population, size))
 
     median = median_seconds(benchmark)
-    MEDIANS[("columnar", RULES_PEAK, size)] = median
+    MEDIANS[(RULES_PEAK, size)] = median
     report("A9", f"columnar batch ingest @ batch {size} "
                  f"({RULES_PEAK} rules)",
            "per-write cost ~flat in batch size", median)
-
-
-@pytest.mark.parametrize("size", BATCH_SWEEP)
-def test_object_batch_size(benchmark, setups, size):
-    population, engines = setups[RULES_PEAK]
-
-    benchmark.pedantic(
-        _batched_ingest(engines[False], population, size),
-        rounds=3, iterations=1, warmup_rounds=1,
-    )
-
-    median = median_seconds(benchmark)
-    MEDIANS[("object", RULES_PEAK, size)] = median
-    report("A9", f"object-path batch ingest @ batch {size} "
-                 f"({RULES_PEAK} rules, ablation)",
-           "n/a (ablation)", median)
 
 
 # -- sweep-width counters ------------------------------------------------------
@@ -174,8 +141,7 @@ def test_columnar_counters(setups):
     """Ledger rows for sweep *width*: atoms flipped and clauses touched
     per batch at the peak configuration (every write flips every distinct
     threshold atom, each sitting in one clause)."""
-    population, engines = setups[RULES_PEAK]
-    engine = engines[True]
+    population, engine = setups[RULES_PEAK]
     stats = engine.columnar_stats
     before = (stats.batches, stats.atoms_flipped, stats.clauses_touched)
     step = _batched_ingest(engine, population, BATCH_SIZE)
@@ -203,21 +169,23 @@ def test_columnar_counters(setups):
 
 
 def test_batch_scaling_shape():
-    """Acceptance: columnar batch ingest ≥5× faster than the object path
-    at the peak rule count with batch ≥64."""
-    needed = [(mode, rules, BATCH_SIZE) for mode in ("columnar", "object")
-              for rules in (RULE_SWEEP[0], RULES_PEAK)]
-    if any(key not in MEDIANS for key in needed):
-        pytest.skip("ingest sweep did not run (filtered?)")
-    speedup = (
-        MEDIANS[("object", RULES_PEAK, BATCH_SIZE)]
-        / MEDIANS[("columnar", RULES_PEAK, BATCH_SIZE)]
-    )
+    """Acceptance: per-write cost ~flat in batch size at the peak rule
+    count — the largest measured batch costs at most
+    ``PER_WRITE_GROWTH_CEILING`` times batch 1 per write."""
+    per_write = {
+        size: median / size
+        for (rules, size), median in MEDIANS.items()
+        if rules == RULES_PEAK
+    }
+    if 1 not in per_write or len(per_write) < 2:
+        pytest.skip("batch sweep did not run (filtered?)")
+    largest = max(per_write)
+    growth = per_write[largest] / per_write[1]
     print(
-        f"\n  [A9] batch ingest @ {RULES_PEAK} rules: columnar "
-        f"x{speedup:.1f} faster than the object path"
+        f"\n  [A9] per-write cost @ {RULES_PEAK} rules: batch {largest} "
+        f"is x{growth:.2f} batch 1"
     )
-    assert speedup >= COLUMNAR_SPEEDUP_FLOOR, (
-        f"columnar path only x{speedup:.2f} over the object path at "
-        f"{RULES_PEAK} rules (floor x{COLUMNAR_SPEEDUP_FLOOR:g})"
+    assert growth <= PER_WRITE_GROWTH_CEILING, (
+        f"per-write cost at batch {largest} is x{growth:.2f} batch 1 "
+        f"(ceiling x{PER_WRITE_GROWTH_CEILING:g})"
     )

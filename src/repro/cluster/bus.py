@@ -54,7 +54,6 @@ the ablation baseline benchmark A6 measures batching against.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Collection, Sequence
 
 from repro.cluster.router import ShardRouter
@@ -106,9 +105,8 @@ class BusStats:
     the Prometheus formatter and cluster aggregation see them and where
     they survive bus re-creation over re-registered shards (pass the old
     bus's ``registry`` to the new one) instead of silently resetting.
-
-    Direct attribute mutation still works for legacy callers but is
-    deprecated: the bus increments its registry counters directly.
+    The attributes are read-only; the bus increments the registry
+    counters directly.
     """
 
     FIELDS = (
@@ -146,15 +144,7 @@ def _stat_property(field: str) -> property:
     def _get(self: BusStats) -> int:
         return self.registry.counter(name).value
 
-    def _set(self: BusStats, value: int) -> None:
-        warnings.warn(
-            f"mutating BusStats.{field} directly is deprecated; "
-            "increment the registry counter instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        self.registry.counter(name).value = value
-
-    return property(_get, _set)
+    return property(_get)
 
 
 for _field in BusStats.FIELDS:

@@ -10,8 +10,8 @@ Snapshot (``snap-<id>-shard<k>.json``)
     bookkeeping with pending recheck timers, the time wheel's armed
     boundaries, enable flags, the trace ring, the rule-churn epoch and
     tick-grid identity.  Deliberately *absent* is every derived index —
-    columnar atom/clause columns, shared-network nodes, watch sets,
-    mirror routes — because re-registering the rules against the
+    columnar atom/clause columns and write indexes, watch sets, mirror
+    routes — because re-registering the rules against the
     restored world rebuilds all of it exactly.
 
 WAL (``wal-<id>-shard<k>.log``)
@@ -43,7 +43,7 @@ Recovery (:func:`restore_cluster`) is snapshot + tail-replay:
    *world* (phase 1);
 3. re-register the caller's rules in the original order with dispatch
    and held-timer hooks disarmed — subscription evaluates atoms against
-   the restored world, rebuilding every backend index;
+   the restored world, rebuilding every derived index;
 4. overlay each shard's *runtime* — truth/states/holders/trace, watch
    sets, wheel schedule, held rechecks, tick grid (phase 2);
 5. replay the WAL tails in global sequence order, advancing the
@@ -428,7 +428,10 @@ def restore_cluster(
 
     ``backend`` overrides the manifest's recorded shard backend — a
     cluster that crashed as worker processes may restore in-thread and
-    vice versa; the durable state is backend-agnostic.
+    vice versa; the durable state is backend-agnostic.  Config keys this
+    code no longer reads (the retired ``shared``/``wheel``/``columnar``
+    engine flags of older manifests) are ignored: every incremental
+    cluster now runs the one fast path, which is observably identical.
     """
     start = perf_counter_ns()
     try:
@@ -474,9 +477,6 @@ def restore_cluster(
         conflict_policy=conflict_policy,
         prefer_intervals=config["prefer_intervals"],
         incremental=config["incremental"],
-        shared=config["shared"],
-        wheel=config["wheel"],
-        columnar=config["columnar"],
         adaptive_ticks=config["adaptive_ticks"],
         max_trace=config["max_trace"],
         clock_tick_period=config["clock_tick_period"],

@@ -94,9 +94,6 @@ class ClusterServer:
         conflict_policy: ConflictPolicy | None = None,
         prefer_intervals: bool = True,
         incremental: bool = True,
-        shared: bool = True,
-        wheel: bool = True,
-        columnar: bool = True,
         adaptive_ticks: bool = True,
         max_trace: int | None = DEFAULT_MAX_TRACE,
         clock_tick_period: float = 60.0,
@@ -121,9 +118,6 @@ class ClusterServer:
             "drain_delay": drain_delay,
             "prefer_intervals": prefer_intervals,
             "incremental": incremental,
-            "shared": shared,
-            "wheel": wheel,
-            "columnar": columnar,
             "adaptive_ticks": adaptive_ticks,
             "max_trace": max_trace,
             "clock_tick_period": clock_tick_period,
@@ -144,9 +138,6 @@ class ClusterServer:
                 "conflict_policy": conflict_policy,
                 "prefer_intervals": prefer_intervals,
                 "incremental": incremental,
-                "shared": shared,
-                "wheel": wheel,
-                "columnar": columnar,
                 "adaptive_ticks": adaptive_ticks,
                 "max_trace": max_trace,
                 "clock_tick_period": clock_tick_period,
@@ -173,9 +164,6 @@ class ClusterServer:
                     conflict_policy=conflict_policy,
                     prefer_intervals=prefer_intervals,
                     incremental=incremental,
-                    shared=shared,
-                    wheel=wheel,
-                    columnar=columnar,
                     adaptive_ticks=adaptive_ticks,
                     max_trace=max_trace,
                     clock_tick_period=clock_tick_period,

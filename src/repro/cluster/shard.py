@@ -66,9 +66,6 @@ class EngineShard:
         conflict_policy: ConflictPolicy | None = None,
         prefer_intervals: bool = True,
         incremental: bool = True,
-        shared: bool = True,
-        wheel: bool = True,
-        columnar: bool = True,
         adaptive_ticks: bool = True,
         max_trace: int | None = DEFAULT_MAX_TRACE,
         clock_tick_period: float = 60.0,
@@ -99,9 +96,6 @@ class EngineShard:
             conflict_policy=conflict_policy,
             prefer_intervals=prefer_intervals,
             incremental=incremental,
-            shared=shared,
-            wheel=wheel,
-            columnar=columnar,
             max_trace=max_trace,
             telemetry=telemetry,
         )
@@ -128,14 +122,14 @@ class EngineShard:
         self._wal: WalWriter | None = None
         self._wal_encoder = WireEncoder()
         # -- clock ticks -----------------------------------------------------
-        # With the time wheel on, a tick at a non-boundary time with no
+        # Incrementally, a tick at a non-boundary time with no
         # DENIED/until/disabled/stateful clock-watchers is a no-op, so
         # the shard sleeps until the wheel's next armed boundary instead
         # of waking every period.  Wakes stay snapped to the fixed
         # cadence grid (anchor + k*period) so observable tick times — and
         # therefore traces — are identical to a fixed-cadence shard.
         self.clock_tick_period = clock_tick_period
-        self.adaptive_ticks = adaptive_ticks and self.engine.wheel
+        self.adaptive_ticks = adaptive_ticks and incremental
         self.ticks = 0  # clock_tick invocations (scheduling observability)
         self.tick_sleeps = 0  # adaptive re-arms that skipped ≥1 grid tick
         self._tick_anchor = simulator.now

@@ -9,20 +9,22 @@ This package is the paper's home-server brain (Fig. 3):
   rules by interpreting CADEL descriptions" — Sect. 4.1).
 * :mod:`repro.core.plan` — compiled condition plans (deduplicated atom
   slots + DNF clause bitmasks), the incremental-evaluation IR.
-* :mod:`repro.core.database` — indexed rule storage, including the
-  atom-level subscription index that drives incremental evaluation.
+* :mod:`repro.core.database` — indexed rule storage (device, owner,
+  variable and variable-watch indexes; refcounted compiled plans).
+* :mod:`repro.core.columnar` — the incremental engine's evaluation
+  state: atoms and clauses deduplicated across rules, truth in flat
+  arrays, and the write indexes that pick which atoms a write can flip.
 * :mod:`repro.core.consistency` — the inconsistency check run at
   registration time (condition can never hold → warn the user).
 * :mod:`repro.core.conflict` — same-device extraction + joint
   satisfiability, the paper's E2 experiment.
 * :mod:`repro.core.priority` — context-attached priority orders
   (Sect. 3.2 "Avoidance of Device Conflict").
-* :mod:`repro.core.network` — the shared evaluation network deduping
-  identical DNF clauses across rules (Rete-style beta memo).
 * :mod:`repro.core.wheel` — the time-window wheel waking clock rules
   only at their next window-boundary crossing.
 * :mod:`repro.core.engine` — event-driven rule execution with runtime
-  arbitration.
+  arbitration; ``incremental=False`` keeps the seed's full
+  re-evaluation path as the executable spec.
 * :mod:`repro.core.server` — the :class:`HomeServer` facade wiring all
   modules over the UPnP substrate.
 """
@@ -46,7 +48,6 @@ from repro.core.conflict import ConflictChecker, ConflictReport
 from repro.core.consistency import ConsistencyChecker
 from repro.core.database import RuleDatabase
 from repro.core.engine import RuleEngine
-from repro.core.network import ClauseNode, SharedNetwork
 from repro.core.plan import CompiledPlan, compile_condition
 from repro.core.wheel import TimeWheel, next_boundary
 from repro.core.priority import PriorityManager, PriorityOrder
@@ -75,8 +76,6 @@ __all__ = [
     "ConsistencyChecker",
     "RuleDatabase",
     "RuleEngine",
-    "ClauseNode",
-    "SharedNetwork",
     "TimeWheel",
     "next_boundary",
     "CompiledPlan",

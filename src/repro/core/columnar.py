@@ -1,47 +1,48 @@
-"""Columnar evaluation backend — interned slots + array state + batch sweeps.
+"""Columnar evaluation state — interned slots, array truth, write indexes.
 
-The :class:`~repro.core.network.SharedNetwork` already deduplicates
-clauses across rules, but its state is an object graph: per-clause
-Python ``ClauseNode`` instances, dict-keyed atom→node indexes, and a
-per-candidate Python ``atom.evaluate`` call for every threshold a
-numeric write crosses.  At 10k+ rules an ingest that sweeps the whole
-threshold band spends nearly all of its time in that per-atom
-interpreter loop.
-
-This module flattens the same state into contiguous columns:
+The incremental engine's whole fast path lives here: deduplicated atom
+and clause state for every registered rule, plus the per-variable
+indexes that decide which atoms a write can flip.
 
 * a :class:`SlotInterner` assigns dense integer ids to deduplicated
   static atoms and clauses at registration time (freed ids are
-  recycled, so long-running churn keeps the columns compact);
+  recycled, so long-running churn keeps the columns compact); equal
+  atoms and equal static conjunctions across rules share one slot;
 * atom truth is one global ``bytearray`` (one byte per atom slot);
 * clause truth is a *remaining-false-atom counter* per clause in one
   ``array('i')`` — a clause is true exactly when its counter is zero,
   so an atom flip is a ``±1`` on each containing clause and a clause
-  truth flip is a zero crossing;
+  truth flip is a zero crossing; only rules subscribed to a crossing
+  clause wake;
 * the atom→clause fan-out is a CSR-style pair of index arrays
   (``offsets``/``flat``), rebuilt lazily after churn, so a vectorized
   sweep can gather every affected clause of every flipped atom with
   numpy ``repeat``/``unique``/``bincount`` instead of nested Python
-  loops;
-* per variable, single-threshold numeric atoms live in parallel sorted
-  arrays of ``(threshold, coef, const, bound, relation)`` — a write
-  ``old → new`` selects the guard-widened bisect window (exactly the
-  candidate set :class:`~repro.core.database._NumericBand` produces)
-  and verifies **all** candidates in one numpy expression that
-  replicates :meth:`~repro.solver.linear.LinearConstraint.satisfied_by`
-  bit for bit.
+  loops.
 
-numpy is optional: the backend probes for it at import time and falls
+Three write indexes pick the candidate atoms of a write, each entry
+point verifying its candidates and flipping the changed ones:
+
+* :meth:`ColumnarState.numeric_write` — single-threshold numeric atoms
+  live in parallel sorted arrays of ``(threshold, coef, const, bound,
+  relation)``; a write ``old → new`` selects the guard-widened bisect
+  window and verifies **all** candidates in one numpy expression that
+  replicates :meth:`~repro.solver.linear.LinearConstraint.satisfied_by`
+  bit for bit.  Equalities and multi-variable constraints are rechecked
+  on every write of a variable they read;
+* :meth:`ColumnarState.discrete_write` — discrete atoms keyed by value
+  (``x == v`` and ``x != v`` alike), so only atoms naming the old or the
+  new value are checked;
+* :meth:`ColumnarState.set_write` — membership atoms keyed by member,
+  so only members in the symmetric difference are checked.
+
+A variable's first write (and a NaN on either side of a numeric write)
+checks every atom of the variable.
+
+numpy is optional: the state probes for it at import time and falls
 back to pure-stdlib scalar loops (same arrays, same semantics), and
 windows smaller than :data:`VECTOR_MIN` candidates always take the
 scalar loop — the numpy round-trip costs more than it saves there.
-
-Equivalence contract: the backend is driven by the engine exactly like
-the shared network — one verified flip per changed atom, wake the
-subscribers of clauses whose truth crossed — so rule wake sets and
-truth values are identical to both object-graph paths by construction.
-``columnar=False`` on the engine keeps the SharedNetwork as the
-ablation baseline.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.condition import NumericAtom
+from repro.core.condition import DiscreteAtom, MembershipAtom, NumericAtom
 from repro.core.plan import numeric_threshold
 from repro.solver.linear import Relation
 
@@ -162,8 +163,8 @@ class _VarIndex:
     ``entries`` maps atom slot → ``(threshold, coef, const, bound,
     code)``; ``recheck`` holds slots with no single-threshold structure
     (multi-variable constraints, equalities).  ``guard`` is the largest
-    comparison guard seen — like ``_NumericBand`` it never shrinks,
-    which can only widen candidate windows (a superset is sound).
+    comparison guard seen; it never shrinks, which can only widen
+    candidate windows (a superset is sound).
     ``snapshot`` caches the sorted parallel arrays and is dropped on any
     mutation.
     """
@@ -216,12 +217,13 @@ class _VarSnapshot:
 
 
 class ColumnarState:
-    """Array-backed clause/rule truth state for one engine.
+    """Array-backed atom/clause/rule truth state for one engine.
 
-    Mirrors the :class:`~repro.core.network.SharedNetwork` contract
-    (``subscribe`` / ``unsubscribe`` / ``atom_flipped`` / ``rule_truth``)
-    and adds :meth:`numeric_write`, the vectorized replacement for the
-    candidate-verify loop of ``engine._propagate_deltas``.
+    Truth is engine state (each engine evaluates atoms against its own
+    world), so the state lives on the engine: ``subscribe`` /
+    ``unsubscribe`` follow rule registration, the three ``*_write``
+    entry points apply one world write each and return the woken rules,
+    and :meth:`rule_truth` reads a rule's DNF off the clause counters.
     """
 
     def __init__(self, *, use_numpy: bool = True,
@@ -245,8 +247,11 @@ class ColumnarState:
         # rule name -> ((cid | _NO_CLAUSE, volatile_mask), ...)
         self._tables: dict[str, tuple[tuple[int, int], ...]] = {}
         self._rule_atoms: dict[str, list[int]] = {}   # rule -> interned aids
-        # -- numeric threshold index -------------------------------------------
+        # -- write indexes: which atoms can a write flip? ----------------------
         self._num_index: dict[str, _VarIndex] = {}
+        # variable -> value (discrete) / member (set) -> aids
+        self._discrete_index: dict[str, dict[str, set[int]]] = {}
+        self._set_index: dict[str, dict[str, set[int]]] = {}
         # -- cached numpy views over the live columns --------------------------
         # Dropped before any capacity growth: resizing a bytearray or
         # array('i') with a live buffer view raises BufferError.
@@ -291,19 +296,11 @@ class ColumnarState:
 
     # -- registration ----------------------------------------------------------
 
-    def subscribe(
-        self,
-        rule_name: str,
-        plan: "CompiledPlan",
-        atom_truth: dict[str, bool],
-        world: "EvaluationContext",
-    ) -> None:
+    def subscribe(self, rule_name: str, plan: "CompiledPlan",
+                  world: "EvaluationContext") -> None:
         """Intern the plan's static atoms and clauses, build the rule's
         clause table.  First-seen atoms are evaluated against the world
-        once — the same evaluate-at-registration semantics as the
-        shared network (``atom_truth`` is accepted for drop-in signature
-        compatibility; truth lives in the columns here)."""
-        del atom_truth  # truth is columnar state, not an engine dict
+        once; atoms already interned keep their maintained truth."""
         aid_of: dict[str, int] = {}
         rule_aids: list[int] = []
         for _bit, key, atom in plan.static_slots:
@@ -347,7 +344,7 @@ class ColumnarState:
             self._atom_refs[aid] = 0
             self._atom_rows[aid] = []
             self._atom_objs[aid] = atom
-        self._index_numeric(aid, atom)
+        self._index_atom(aid, atom)
 
     def _grow_clause(self, cid: int, member_aids: list[int],
                      false_count: int) -> None:
@@ -363,9 +360,26 @@ class ColumnarState:
             self._clause_subs[cid] = {}
             self._clause_atoms[cid] = member_aids
 
-    def _index_numeric(self, aid: int, atom) -> None:
-        if not isinstance(atom, NumericAtom):
-            return
+    def _index_atom(self, aid: int, atom) -> None:
+        if isinstance(atom, NumericAtom):
+            self._index_numeric(aid, atom)
+        elif isinstance(atom, DiscreteAtom):
+            self._discrete_index.setdefault(atom.variable, {}) \
+                .setdefault(atom.value, set()).add(aid)
+        elif isinstance(atom, MembershipAtom):
+            self._set_index.setdefault(atom.variable, {}) \
+                .setdefault(atom.member, set()).add(aid)
+
+    def _unindex_atom(self, aid: int, atom) -> None:
+        if isinstance(atom, NumericAtom):
+            self._unindex_numeric(aid, atom)
+        elif isinstance(atom, DiscreteAtom):
+            _discard_keyed(self._discrete_index, atom.variable, atom.value,
+                           aid)
+        elif isinstance(atom, MembershipAtom):
+            _discard_keyed(self._set_index, atom.variable, atom.member, aid)
+
+    def _index_numeric(self, aid: int, atom: NumericAtom) -> None:
         descriptor = numeric_threshold(atom)
         constraint = atom.constraint
         if descriptor is not None:
@@ -392,9 +406,7 @@ class ColumnarState:
                 index.recheck.add(aid)
                 index.snapshot = None
 
-    def _unindex_numeric(self, aid: int, atom) -> None:
-        if not isinstance(atom, NumericAtom):
-            return
+    def _unindex_numeric(self, aid: int, atom: NumericAtom) -> None:
         descriptor = numeric_threshold(atom)
         if descriptor is not None:
             variables = (descriptor[0],)
@@ -437,13 +449,9 @@ class ColumnarState:
         for aid in self._rule_atoms.pop(rule_name, ()):
             self._atom_refs[aid] -= 1
             if self._atom_refs[aid] == 0:
-                atom = self._atom_objs[aid]
-                self._unindex_numeric(aid, atom)
+                self._unindex_atom(aid, self._atom_objs[aid])
                 self._atom_objs[aid] = None
                 self._atoms.release(self._atoms.keys[aid])
-
-    def subscribed(self, rule_name: str) -> bool:
-        return rule_name in self._tables
 
     # -- truth reads -----------------------------------------------------------
 
@@ -453,12 +461,6 @@ class ColumnarState:
         if aid is None:
             return None
         return bool(self._atom_truth[aid])
-
-    def clause_true(self, static_keys: tuple[str, ...]) -> bool | None:
-        cid = self._clauses.get(static_keys)
-        if cid is None:
-            return None
-        return self._clause_false[cid] == 0
 
     def rule_truth(self, rule_name: str, volatile_bits: int) -> bool:
         """Current truth of a subscribed rule: any clause whose static
@@ -471,19 +473,7 @@ class ColumnarState:
                 return True
         return False
 
-    # -- delta propagation (scalar entry points) -------------------------------
-
-    def atom_flipped(self, key: str, new_truth: bool) -> Iterable[str]:
-        """Record one verified atom truth; returns the rules subscribed
-        to clauses whose truth crossed (idempotent: an unchanged truth
-        wakes nobody).  The discrete/membership candidate loop and the
-        scalar numeric path both land here."""
-        aid = self._atoms.get(key)
-        if aid is None or bool(self._atom_truth[aid]) == new_truth:
-            return ()
-        woken: set[str] = set()
-        self._flip_atom(aid, new_truth, woken)
-        return woken
+    # -- delta propagation -------------------------------------------------------
 
     def _flip_atom(self, aid: int, new_truth: bool, woken: set[str]) -> None:
         self._atom_truth[aid] = 1 if new_truth else 0
@@ -500,6 +490,51 @@ class ColumnarState:
         self.stats.atoms_flipped += 1
         self.stats.clauses_touched += touched
 
+    def _verify(self, aids: Iterable[int], world: "EvaluationContext",
+                woken: set[str]) -> None:
+        """Re-evaluate candidate atoms through their atom objects and
+        flip the ones whose truth changed."""
+        truth = self._atom_truth
+        atoms = self._atom_objs
+        for aid in aids:
+            atom_truth = bool(atoms[aid].evaluate(world))
+            if bool(truth[aid]) != atom_truth:
+                self._flip_atom(aid, atom_truth, woken)
+
+    def discrete_write(self, variable: str, old: str | None, new: str,
+                       world: "EvaluationContext") -> set[str]:
+        """Apply one discrete write and return the woken rules.  Only
+        atoms keyed by the old or the new value can flip; a first write
+        (``old is None``) checks every atom of the variable."""
+        woken: set[str] = set()
+        by_value = self._discrete_index.get(variable)
+        if by_value is None:
+            return woken
+        if old is None:
+            for aids in by_value.values():
+                self._verify(aids, world, woken)
+            return woken
+        for value in (old, new):
+            aids = by_value.get(value)
+            if aids:
+                self._verify(aids, world, woken)
+        return woken
+
+    def set_write(self, variable: str, old: frozenset[str],
+                  new: frozenset[str],
+                  world: "EvaluationContext") -> set[str]:
+        """Apply one set-valued write and return the woken rules.  Only
+        atoms on members in the symmetric difference can flip."""
+        woken: set[str] = set()
+        by_member = self._set_index.get(variable)
+        if by_member is None:
+            return woken
+        for member in old ^ new:
+            aids = by_member.get(member)
+            if aids:
+                self._verify(aids, world, woken)
+        return woken
+
     # -- the vectorized numeric sweep ------------------------------------------
 
     def numeric_write(self, variable: str, old: float | None, new: float,
@@ -508,11 +543,10 @@ class ColumnarState:
         every candidate (vectorized when large enough), flip changed
         atoms into the clause counters and return the woken rules.
 
-        Candidate selection and verification replicate the object path
-        exactly — same guard-widened window as ``_NumericBand``, same
-        ``satisfied_by`` arithmetic (``coef*value + const`` is one IEEE
-        addition in both, and addition of two operands is commutative) —
-        so flips are bit-identical to the per-atom ``evaluate`` loop.
+        Verification replicates ``satisfied_by`` arithmetic exactly
+        (``coef*value + const`` is one IEEE addition in both, and
+        addition of two operands is commutative), so flips are
+        bit-identical to calling each candidate atom's ``evaluate``.
         """
         self.stats.writes += 1
         woken: set[str] = set()
@@ -522,19 +556,16 @@ class ColumnarState:
         snapshot = index.snapshot
         if snapshot is None:
             snapshot = index.snapshot = _VarSnapshot(index, self.use_numpy)
-        # Generic shapes re-evaluate through the atom, like the band's
-        # recheck bucket (multi-variable constraints need other values).
-        truth = self._atom_truth
-        for aid in snapshot.recheck_aids:
-            atom_truth = bool(self._atom_objs[aid].evaluate(world))
-            if bool(truth[aid]) != atom_truth:
-                self._flip_atom(aid, atom_truth, woken)
+        # Generic shapes re-evaluate through the atom (multi-variable
+        # constraints need other values).
+        if snapshot.recheck_aids:
+            self._verify(snapshot.recheck_aids, world, woken)
         thresholds = snapshot.thresholds
         if not thresholds:
             return woken
-        # NaN / first-write: compare against every threshold, like the
-        # band's full fallback (vector compares with NaN are all-False,
-        # matching scalar satisfied_by).
+        # NaN / first write: compare against every threshold — NaN breaks
+        # the ordering the bisect window relies on (vector compares with
+        # NaN are all-False, matching scalar satisfied_by).
         if old is None or old != old or new != new:
             lo_i, hi_i = 0, len(thresholds)
         else:
@@ -619,3 +650,15 @@ class ColumnarState:
             subs = self._clause_subs
             for cid in unique_cids[crossed]:
                 woken.update(subs[cid])
+
+
+def _discard_keyed(index: dict[str, dict[str, set[int]]], variable: str,
+                   key: str, aid: int) -> None:
+    """Drop one atom from a keyed write index, pruning emptied buckets."""
+    by_key = index[variable]
+    aids = by_key[key]
+    aids.discard(aid)
+    if not aids:
+        del by_key[key]
+        if not by_key:
+            del index[variable]

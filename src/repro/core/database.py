@@ -6,22 +6,14 @@ rule"; with 10,000 registered rules that extraction must not scan.  The
 database therefore maintains secondary indexes by device UDN, owner and
 referenced variable, all with presorted cached buckets.
 
-On top of those rule-level indexes sits the **atom-level subscription
-index** that drives incremental evaluation (see :mod:`repro.core.plan`):
-
-* every registered condition is compiled once into a refcounted
-  :class:`CompiledPlan`, shared between rules with equal conditions;
-* every static atom is deduplicated by key into an :class:`AtomEntry`
-  holding its subscriber rules and their plan bit;
-* per variable, atoms are organised for O(log n + flips) delta queries:
-  single-variable inequalities live in **sorted threshold lists**
-  (bisect over the old/new value finds exactly the atoms whose truth
-  may have crossed), discrete equality atoms in value-keyed maps,
-  membership atoms in member-keyed maps, and the rare generic shapes
-  (multi-variable constraints, equalities) in small recheck buckets;
-* rules the engine must wake on *any* referenced-variable change
-  (stateful duration plans and plans with volatile time/event atoms)
-  are registered in the variable-watch index.
+It also compiles every registered condition once into a refcounted
+:class:`~repro.core.plan.CompiledPlan`, shared between rules with equal
+conditions, and keeps the **variable-watch index**: rules the engine
+must wake on *any* referenced-variable change (stateful duration plans
+and plans with volatile time/event atoms).  Which atoms a write can
+flip is the engine's concern — its
+:class:`~repro.core.columnar.ColumnarState` keeps those indexes next to
+the atom truth they drive.
 
 All buckets are pruned on removal, so a long-running server that churns
 rules does not leak index entries.
@@ -29,29 +21,13 @@ rules does not leak index entries.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Iterator
 
-from repro.core.condition import DiscreteAtom, MembershipAtom, NumericAtom
-from repro.core.plan import CompiledPlan, compile_condition, numeric_threshold
+from repro.core.plan import CompiledPlan, compile_condition
 from repro.core.rule import Rule
 from repro.errors import DuplicateRuleError, UnknownRuleError
 
 _EMPTY: frozenset[str] = frozenset()
-
-
-class AtomEntry:
-    """One deduplicated static atom and the rules subscribed to it."""
-
-    __slots__ = ("key", "atom", "subscribers")
-
-    def __init__(self, key: str, atom) -> None:
-        self.key = key
-        self.atom = atom
-        self.subscribers: dict[str, int] = {}  # rule name -> plan bit
-
-    def __repr__(self) -> str:
-        return f"<AtomEntry {self.key!r} subs={len(self.subscribers)}>"
 
 
 class _NameIndex:
@@ -93,180 +69,18 @@ class _NameIndex:
         return key in self._buckets
 
 
-class _NumericBand:
-    """Threshold-sorted numeric atoms of one variable.
-
-    ``below`` atoms are true for values below their threshold, ``above``
-    atoms for values above; both are kept as parallel (threshold, entry)
-    lists sorted by threshold so a value change ``old -> new`` narrows
-    candidates to the thresholds inside ``[min, max]`` (widened by the
-    largest comparison guard seen) via bisect.  ``recheck`` holds shapes
-    with no single-threshold structure.
-    """
-
-    __slots__ = ("below_t", "below_e", "above_t", "above_e", "recheck",
-                 "guard")
-
-    def __init__(self) -> None:
-        self.below_t: list[float] = []
-        self.below_e: list[AtomEntry] = []
-        self.above_t: list[float] = []
-        self.above_e: list[AtomEntry] = []
-        self.recheck: list[AtomEntry] = []
-        self.guard = 0.0
-
-    @staticmethod
-    def _insert(ts: list[float], es: list[AtomEntry], threshold: float,
-                entry: AtomEntry) -> None:
-        index = bisect_left(ts, threshold)
-        ts.insert(index, threshold)
-        es.insert(index, entry)
-
-    @staticmethod
-    def _remove(ts: list[float], es: list[AtomEntry], threshold: float,
-                entry: AtomEntry) -> None:
-        index = bisect_left(ts, threshold)
-        while index < len(ts) and ts[index] == threshold:
-            if es[index] is entry:
-                del ts[index]
-                del es[index]
-                return
-            index += 1
-
-    def insert(self, kind: str, threshold: float, guard: float,
-               entry: AtomEntry) -> None:
-        if guard > self.guard:
-            self.guard = guard
-        if kind == "below":
-            self._insert(self.below_t, self.below_e, threshold, entry)
-        else:
-            self._insert(self.above_t, self.above_e, threshold, entry)
-
-    def remove(self, kind: str, threshold: float, entry: AtomEntry) -> None:
-        if kind == "below":
-            self._remove(self.below_t, self.below_e, threshold, entry)
-        else:
-            self._remove(self.above_t, self.above_e, threshold, entry)
-
-    def candidates(self, old: float | None, new: float) -> list[AtomEntry]:
-        # NaN breaks the ordering the bisect window relies on (every
-        # comparison is False, so the slice silently misses flips):
-        # fall back to checking every atom, like a first reading.
-        if old is None or old != old or new != new:
-            return self.below_e + self.above_e + self.recheck
-        lo, hi = (old, new) if old <= new else (new, old)
-        lo -= self.guard
-        hi += self.guard
-        out = list(self.recheck)
-        out.extend(
-            self.below_e[bisect_left(self.below_t, lo):
-                         bisect_right(self.below_t, hi)]
-        )
-        out.extend(
-            self.above_e[bisect_left(self.above_t, lo):
-                         bisect_right(self.above_t, hi)]
-        )
-        return out
-
-    @property
-    def empty(self) -> bool:
-        return not (self.below_e or self.above_e or self.recheck)
-
-
-class _DiscreteBand:
-    """Value-keyed discrete atoms of one variable."""
-
-    __slots__ = ("eq", "neq")
-
-    def __init__(self) -> None:
-        self.eq: dict[str, list[AtomEntry]] = {}
-        self.neq: dict[str, list[AtomEntry]] = {}
-
-    def insert(self, atom: DiscreteAtom, entry: AtomEntry) -> None:
-        table = self.neq if atom.negated else self.eq
-        table.setdefault(atom.value, []).append(entry)
-
-    def remove(self, atom: DiscreteAtom, entry: AtomEntry) -> None:
-        table = self.neq if atom.negated else self.eq
-        bucket = table.get(atom.value)
-        if bucket is None:
-            return
-        try:
-            bucket.remove(entry)
-        except ValueError:
-            return
-        if not bucket:
-            del table[atom.value]
-
-    def candidates(self, old: str | None, new: str) -> list[AtomEntry]:
-        if old is None:
-            out: list[AtomEntry] = []
-            for bucket in self.eq.values():
-                out.extend(bucket)
-            for bucket in self.neq.values():
-                out.extend(bucket)
-            return out
-        out = list(self.eq.get(old, ()))
-        out.extend(self.eq.get(new, ()))
-        out.extend(self.neq.get(old, ()))
-        out.extend(self.neq.get(new, ()))
-        return out
-
-    @property
-    def empty(self) -> bool:
-        return not (self.eq or self.neq)
-
-
-class _SetBand:
-    """Member-keyed membership atoms of one set-valued variable."""
-
-    __slots__ = ("by_member",)
-
-    def __init__(self) -> None:
-        self.by_member: dict[str, list[AtomEntry]] = {}
-
-    def insert(self, atom: MembershipAtom, entry: AtomEntry) -> None:
-        self.by_member.setdefault(atom.member, []).append(entry)
-
-    def remove(self, atom: MembershipAtom, entry: AtomEntry) -> None:
-        bucket = self.by_member.get(atom.member)
-        if bucket is None:
-            return
-        try:
-            bucket.remove(entry)
-        except ValueError:
-            return
-        if not bucket:
-            del self.by_member[atom.member]
-
-    def candidates(self, old: frozenset[str],
-                   new: frozenset[str]) -> list[AtomEntry]:
-        out: list[AtomEntry] = []
-        for member in old ^ new:
-            out.extend(self.by_member.get(member, ()))
-        return out
-
-    @property
-    def empty(self) -> bool:
-        return not self.by_member
-
-
 class RuleDatabase:
-    """In-memory rule store with device/owner/variable/atom indexes."""
+    """In-memory rule store with device/owner/variable indexes."""
 
     def __init__(self) -> None:
         self._by_name: dict[str, Rule] = {}
         self._by_device = _NameIndex()
         self._by_owner = _NameIndex()
         self._by_variable = _NameIndex()
-        # -- incremental-evaluation structures --------------------------------
+        # -- compiled plans and the variable-watch index ----------------------
         self._plans: dict[str, CompiledPlan] = {}       # condition key -> plan
         self._plan_refs: dict[str, int] = {}
         self._plan_by_rule: dict[str, CompiledPlan] = {}
-        self._atom_entries: dict[str, AtomEntry] = {}
-        self._numeric_bands: dict[str, _NumericBand] = {}
-        self._discrete_bands: dict[str, _DiscreteBand] = {}
-        self._set_bands: dict[str, _SetBand] = {}
         self._var_watch: dict[str, set[str]] = {}
 
     def __len__(self) -> int:
@@ -300,14 +114,6 @@ class RuleDatabase:
             # variable change, not only on static-atom flips.
             for variable in variables:
                 self._var_watch.setdefault(variable, set()).add(rule.name)
-        if not plan.has_duration:
-            for bit, key, atom in plan.static_slots:
-                entry = self._atom_entries.get(key)
-                if entry is None:
-                    entry = AtomEntry(key, atom)
-                    self._atom_entries[key] = entry
-                    self._index_atom(entry)
-                entry.subscribers[rule.name] = bit
 
     def remove(self, name: str) -> Rule:
         """Deregister and return a rule; unknown names raise.
@@ -332,15 +138,6 @@ class RuleDatabase:
                 watchers.discard(name)
                 if not watchers:
                     del self._var_watch[variable]
-        if not plan.has_duration:
-            for _bit, key, _atom in plan.static_slots:
-                entry = self._atom_entries.get(key)
-                if entry is None:
-                    continue
-                entry.subscribers.pop(name, None)
-                if not entry.subscribers:
-                    self._unindex_atom(entry)
-                    del self._atom_entries[key]
         self._release_plan(plan)
         return rule
 
@@ -362,63 +159,6 @@ class RuleDatabase:
         else:
             self._plan_refs[key] = refs
 
-    def _index_atom(self, entry: AtomEntry) -> None:
-        atom = entry.atom
-        if isinstance(atom, NumericAtom):
-            descriptor = numeric_threshold(atom)
-            if descriptor is not None:
-                variable, kind, threshold, guard = descriptor
-                band = self._numeric_bands.setdefault(variable, _NumericBand())
-                band.insert(kind, threshold, guard, entry)
-            else:
-                for variable in atom.referenced_variables():
-                    band = self._numeric_bands.setdefault(variable,
-                                                          _NumericBand())
-                    band.recheck.append(entry)
-        elif isinstance(atom, DiscreteAtom):
-            band = self._discrete_bands.setdefault(atom.variable,
-                                                   _DiscreteBand())
-            band.insert(atom, entry)
-        elif isinstance(atom, MembershipAtom):
-            band = self._set_bands.setdefault(atom.variable, _SetBand())
-            band.insert(atom, entry)
-        # Other static shapes have no world variable to index.
-
-    def _unindex_atom(self, entry: AtomEntry) -> None:
-        atom = entry.atom
-        if isinstance(atom, NumericAtom):
-            descriptor = numeric_threshold(atom)
-            if descriptor is not None:
-                variable, kind, threshold, _guard = descriptor
-                band = self._numeric_bands.get(variable)
-                if band is not None:
-                    band.remove(kind, threshold, entry)
-                    if band.empty:
-                        del self._numeric_bands[variable]
-            else:
-                for variable in atom.referenced_variables():
-                    band = self._numeric_bands.get(variable)
-                    if band is None:
-                        continue
-                    try:
-                        band.recheck.remove(entry)
-                    except ValueError:
-                        pass
-                    if band.empty:
-                        del self._numeric_bands[variable]
-        elif isinstance(atom, DiscreteAtom):
-            band = self._discrete_bands.get(atom.variable)
-            if band is not None:
-                band.remove(atom, entry)
-                if band.empty:
-                    del self._discrete_bands[atom.variable]
-        elif isinstance(atom, MembershipAtom):
-            band = self._set_bands.get(atom.variable)
-            if band is not None:
-                band.remove(atom, entry)
-                if band.empty:
-                    del self._set_bands[atom.variable]
-
     # -- lookup ----------------------------------------------------------------
 
     def get(self, name: str) -> Rule:
@@ -437,10 +177,6 @@ class RuleDatabase:
             raise UnknownRuleError(f"no rule named {name!r}")
         return plan
 
-    def has_atom(self, key: str) -> bool:
-        """Whether any registered rule still subscribes to an atom."""
-        return key in self._atom_entries
-
     # -- indexed extraction ----------------------------------------------------
 
     def rules_for_device(self, udn: str) -> list[Rule]:
@@ -457,30 +193,6 @@ class RuleDatabase:
     def rules_reading_variable(self, variable: str) -> list[Rule]:
         """Rules whose conditions reference a variable (engine dispatch)."""
         return self._by_variable.sorted_rules(variable, self._by_name)
-
-    # -- atom-delta queries (incremental engine hot path) ----------------------
-
-    def numeric_candidates(self, variable: str, old: float | None,
-                           new: float) -> list[AtomEntry]:
-        """Atoms on ``variable`` whose truth *may* have flipped."""
-        band = self._numeric_bands.get(variable)
-        if band is None:
-            return []
-        return band.candidates(old, new)
-
-    def discrete_candidates(self, variable: str, old: str | None,
-                            new: str) -> list[AtomEntry]:
-        band = self._discrete_bands.get(variable)
-        if band is None:
-            return []
-        return band.candidates(old, new)
-
-    def set_candidates(self, variable: str, old: frozenset[str],
-                       new: frozenset[str]) -> list[AtomEntry]:
-        band = self._set_bands.get(variable)
-        if band is None:
-            return []
-        return band.candidates(old, new)
 
     def variable_watchers(self, variable: str) -> frozenset[str] | set[str]:
         """Rules that must be woken on any change of ``variable``."""

@@ -20,17 +20,23 @@ record the game with the video recorder"); when the contested device is
 later released, standing rules are re-arbitrated so the strongest
 claimant upgrades back to its primary action.
 
-Evaluation strategy (the incremental core)
-------------------------------------------
+Evaluation strategy
+-------------------
 
-By default the engine runs **incrementally**: each rule's condition is
-compiled into a :class:`~repro.core.plan.CompiledPlan` and the engine
-keeps a per-rule atom-truth bitset.  An ``ingest()`` asks the database's
-atom-level index for the atoms whose truth *may* have crossed (sorted
-threshold lists for numeric atoms, value/member keys for discrete and
-membership atoms), verifies each candidate once, flips the subscribed
-bits and re-derives truth from the cached DNF clause masks — work
-proportional to what changed, not to how many rules read the variable.
+The engine has two configurations.  By default it runs
+**incrementally**: each rule's condition is compiled into a
+:class:`~repro.core.plan.CompiledPlan` and subscribed to the engine's
+:class:`~repro.core.columnar.ColumnarState`, which deduplicates atoms
+and DNF clauses across rules and keeps their truth in flat arrays.  An
+``ingest()`` hands the write to that state, whose per-variable indexes
+pick the atoms whose truth *may* have crossed (sorted threshold arrays
+for numeric atoms, value/member keys for discrete and membership
+atoms); it verifies each candidate once, flips the changed atoms into
+per-clause counters and returns the rules subscribed to clauses whose
+truth crossed — work proportional to what changed, not to how many
+rules read the variable.  Clock ticks go through the
+:class:`~repro.core.wheel.TimeWheel` boundary schedule: a tick wakes
+only the rules whose time-window atoms crossed a start/end boundary.
 
 Three small watch sets preserve the seed semantics exactly:
 
@@ -43,37 +49,12 @@ Three small watch sets preserve the seed semantics exactly:
   atoms wake on any referenced-variable change via the database's
   variable-watch index and keep their original evaluation order.
 
-Constructing the engine with ``incremental=False`` restores the seed's
-full re-evaluation path unchanged (the A5 ablation baseline): every
-ingest re-walks the condition tree of every rule reading the variable.
-Both modes produce identical truth values, states, holders and traces.
-
-Cross-rule sharing (the A7 optimisations)
------------------------------------------
-
-Two further layers make the hot paths scale with *distinct context*
-rather than rule count; both require ``incremental`` and keep the
-per-rule machinery as ablation baselines:
-
-* ``shared=True`` (default) deduplicates identical DNF clauses across
-  rules, so a flip updates each distinct clause once and only fans out
-  to rules whose *clause* truth changed.  ``shared=False`` restores the
-  per-rule bitset fan-out.
-* ``columnar=True`` (default, requires ``shared``) keeps that clause
-  state in the :class:`~repro.core.columnar.ColumnarState` arrays —
-  interned atom/clause slots, a remaining-false counter per clause and
-  a vectorized threshold sweep per numeric write — plus the
-  :meth:`ingest_batch` bulk entry point.  ``columnar=False`` restores
-  the object-graph :class:`~repro.core.network.SharedNetwork` (the A9
-  ablation baseline); both backends are driven through the same
-  verified-flip contract and produce identical wake sets.
-* ``wheel=True`` (default) replaces ``clock_tick``'s blanket
-  re-evaluation of every clock-reading rule with the
-  :class:`~repro.core.wheel.TimeWheel` boundary schedule: a tick wakes
-  only the rules whose time-window atoms actually crossed a start/end
-  boundary (plus the DENIED / until / disabled watch sets, which the
-  per-tick path re-examines every tick by construction).
-  ``wheel=False`` restores the blanket wake.
+Constructing the engine with ``incremental=False`` keeps the seed's
+full re-evaluation path unchanged — the executable spec the equivalence
+suites compare against: every ingest re-walks the condition tree of
+every rule reading the variable, and every clock tick re-evaluates
+every clock-reading rule.  Both configurations produce identical truth
+values, states, holders and traces.
 """
 
 from __future__ import annotations
@@ -88,7 +69,6 @@ from repro.core.action import ActionSpec, Setting
 from repro.core.columnar import ColumnarState, ColumnarStats
 from repro.core.condition import CLOCK_VARIABLE, DurationAtom, TimeWindowAtom
 from repro.core.database import RuleDatabase
-from repro.core.network import SharedNetwork
 from repro.core.plan import CompiledPlan
 from repro.core.priority import PriorityManager, PriorityOrder
 from repro.core.wheel import TimeWheel
@@ -104,6 +84,8 @@ competing rules) → chosen rule, or None to keep the status quo."""
 _HELD_EPSILON = 1e-6
 
 DEFAULT_MAX_TRACE = 100_000
+"""Default trace ring-buffer capacity — generous enough for scenario
+time-charts, bounded so long-running homes don't grow without limit."""
 
 # Power-of-two buckets for wake fan-out sizes.  Spelled inline rather
 # than imported: core modules may not import the live obs package (only
@@ -117,8 +99,6 @@ _SIZE_BOUNDS = tuple(float(2 ** i) for i in range(17))
 # volume lives in the unsampled counters (columnar.writes etc.).  The
 # per-batch / per-tick / per-dispatch stages are never sampled.
 _SPAN_SAMPLE = 8
-"""Default trace ring-buffer capacity — generous enough for scenario
-time-charts, bounded so long-running homes don't grow without limit."""
 
 
 class RuleState(enum.Enum):
@@ -301,9 +281,6 @@ class RuleEngine:
         access_check: Callable[[Rule, ActionSpec], None] | None = None,
         *,
         incremental: bool = True,
-        shared: bool = True,
-        wheel: bool = True,
-        columnar: bool = True,
         max_trace: int | None = DEFAULT_MAX_TRACE,
         telemetry: Any = None,
     ) -> None:
@@ -314,13 +291,6 @@ class RuleEngine:
         self.prompt_policy = prompt_policy or keep_status_quo_policy
         self.access_check = access_check
         self.incremental = incremental
-        # Both cross-rule layers ride on the incremental bookkeeping
-        # (atom-truth cache, watch sets); the seed path ignores them.
-        self.shared = shared and incremental
-        self.wheel = wheel and incremental
-        # The columnar backend is the array-layout successor of the
-        # shared network: same clause dedup, flat storage.
-        self.columnar = columnar and self.shared
         # Observability seam — duck-typed against repro.obs.trace.Telemetry
         # (this module never imports the obs package; the cluster layer
         # passes a live object in, everyone else gets None).  Instruments
@@ -346,18 +316,10 @@ class RuleEngine:
         # including stale timers whose key was since re-held — which is
         # what makes restart traces reproduce DENIED re-arbitrations.
         self._held_timers: list[tuple[float, str]] = []
-        # -- incremental-evaluation state ----------------------------------------
-        # Engine-side plan map, not a shortcut for database.plan_of():
-        # rule_removed() runs after the database entry is gone and still
-        # needs the plan to prune atom-truth caches.
+        # -- incremental-evaluation state (None/empty on the seed path) ----------
         self._plans: dict[str, CompiledPlan] = {}        # rule name -> plan
-        self._bits: dict[str, int] = {}                  # rule name -> atom bits
-        self._atom_truth: dict[str, bool] = {}           # atom key -> cached truth
-        self._columnar = ColumnarState() if self.columnar else None
-        self._network = (
-            SharedNetwork() if self.shared and not self.columnar else None
-        )
-        self._time_wheel = TimeWheel() if self.wheel else None
+        self._columnar = ColumnarState() if incremental else None
+        self._time_wheel = TimeWheel() if incremental else None
         self._wheel_keys: dict[str, tuple[str, ...]] = {}  # rule -> window keys
         # Stateful clock-reading plans (a duration over a window) stay on
         # the every-tick cadence: held() bookkeeping samples the clock at
@@ -368,7 +330,7 @@ class RuleEngine:
         self._has_until: set[str] = set()
         # Rules skipped while disabled: the seed path re-examines them on
         # any relevant change once re-enabled, so they must be woken even
-        # when no atom flips (their bits may have gone stale meanwhile).
+        # when no atom flips.
         self._disabled_dirty: set[str] = set()
         # Fired whenever the set of rules a periodic clock tick must
         # re-examine (DENIED/until/disabled clock watchers, stateful
@@ -379,8 +341,8 @@ class RuleEngine:
         self.on_clock_demand_changed: Callable[[], None] | None = None
         if incremental:
             # Attach-to-populated-database pattern: rules registered
-            # before the engine existed still need plans/bits/watches or
-            # delta propagation would silently never wake them.
+            # before the engine existed still need plans/subscriptions/
+            # watches or delta propagation would silently never wake them.
             for rule in database.all_rules():
                 self._index_rule(rule)
         self._denied_watch: dict[str, set[str]] = {}     # variable -> DENIED rules
@@ -402,34 +364,27 @@ class RuleEngine:
         for atom in plan.atoms:
             if isinstance(atom, DurationAtom):
                 self._held_atom_rules.setdefault(atom.key(), set()).add(rule.name)
-        if self.incremental:
-            self._plans[rule.name] = plan
-            watch = set(plan.variables)
-            if rule.until is not None:
-                self._has_until.add(rule.name)
-                watch |= rule.until.referenced_variables()
-            self._watch_vars[rule.name] = frozenset(watch)
-            backend = self._columnar if self._columnar is not None \
-                else self._network
-            if backend is not None and not plan.has_duration:
-                backend.subscribe(
-                    rule.name, plan, self._atom_truth, self.world
-                )
-            else:
-                self._refresh_static_bits(rule.name)
-            if self._time_wheel is not None:
-                windows = [
-                    atom for atom in plan.atoms
-                    if isinstance(atom, TimeWindowAtom)
-                ]
-                if windows and plan.has_duration:
-                    self._tick_stateful.add(rule.name)
-                    self._notify_clock_demand()
-                elif windows:
-                    self._wheel_keys[rule.name] = self._time_wheel.subscribe(
-                        rule.name, windows, self.simulator.now
-                    )
-                    self._notify_clock_demand()
+        if not self.incremental:
+            return
+        self._plans[rule.name] = plan
+        watch = set(plan.variables)
+        if rule.until is not None:
+            self._has_until.add(rule.name)
+            watch |= rule.until.referenced_variables()
+        self._watch_vars[rule.name] = frozenset(watch)
+        if not plan.has_duration:
+            self._columnar.subscribe(rule.name, plan, self.world)
+        windows = [
+            atom for atom in plan.atoms if isinstance(atom, TimeWindowAtom)
+        ]
+        if windows and plan.has_duration:
+            self._tick_stateful.add(rule.name)
+            self._notify_clock_demand()
+        elif windows:
+            self._wheel_keys[rule.name] = self._time_wheel.subscribe(
+                rule.name, windows, self.simulator.now
+            )
+            self._notify_clock_demand()
 
     def rule_removed(self, rule_name: str) -> None:
         self._truth.pop(rule_name, None)
@@ -438,15 +393,12 @@ class RuleEngine:
             self._unwatch(self._denied_watch, rule_name)
         elif state in (RuleState.ACTIVE, RuleState.FALLBACK):
             self._unwatch(self._until_watch, rule_name)
-        plan = self._plans.pop(rule_name, None)
-        self._bits.pop(rule_name, None)
+        self._plans.pop(rule_name, None)
         self._watch_vars.pop(rule_name, None)
         self._has_until.discard(rule_name)
         self._disabled_dirty.discard(rule_name)
         if self._columnar is not None:
             self._columnar.unsubscribe(rule_name)
-        if self._network is not None:
-            self._network.unsubscribe(rule_name)
         if self._time_wheel is not None:
             self._time_wheel.unsubscribe(
                 rule_name, self._wheel_keys.pop(rule_name, ())
@@ -458,12 +410,6 @@ class RuleEngine:
             bucket.discard(rule_name)
             if not bucket:
                 del self._held_atom_rules[key]
-        if plan is not None:
-            # Drop truth caches for atoms no other rule subscribes to.
-            for atom in plan.atoms:
-                key = atom.key()
-                if key in self._atom_truth and not self.database.has_atom(key):
-                    del self._atom_truth[key]
         if state in (RuleState.ACTIVE, RuleState.FALLBACK):
             self._release_holdings(rule_name)
 
@@ -514,63 +460,58 @@ class RuleEngine:
         rules whose conditions read it.
 
         In incremental mode the rules woken are exactly those whose
-        observable behaviour can change: subscribers of atoms whose truth
-        flipped, plus the DENIED/until/variable-watch sets."""
-        candidates: list | None = None
+        observable behaviour can change: subscribers of clauses whose
+        truth crossed, plus the DENIED/until/variable-watch sets."""
+        world = self.world
+        columnar = self._columnar
         if isinstance(value, bool):
             value = "true" if value else "false"
         if isinstance(value, str):
-            old_discrete = self.world.discrete(variable)
-            if not self.world.set_discrete(variable, value):
+            old_discrete = world.discrete(variable)
+            if not world.set_discrete(variable, value):
                 return
-            if self.incremental:
-                candidates = self.database.discrete_candidates(
-                    variable, old_discrete, value)
+            if columnar is not None:
+                self._finish_wake(variable, columnar.discrete_write(
+                    variable, old_discrete, value, world))
+                return
         elif isinstance(value, (int, float)):
-            old_numeric = self.world.numeric(variable)
+            old_numeric = world.numeric(variable)
             new_numeric = float(value)
-            if not self.world.set_numeric(variable, new_numeric):
+            if not world.set_numeric(variable, new_numeric):
                 return
-            if self.incremental:
-                if self._columnar is not None:
-                    # Columnar fast path: the backend owns the threshold
-                    # index and verifies the whole candidate window in
-                    # one sweep — no per-atom candidate list is built.
-                    spans = self._spans
-                    token = None
-                    if spans is not None:
-                        self._sweep_tick = tick = \
-                            (self._sweep_tick + 1) % _SPAN_SAMPLE
-                        if tick == 0:
-                            token = spans.span_begin("sweep")
-                    dirty = self._columnar.numeric_write(
-                        variable, old_numeric, new_numeric, self.world
-                    )
-                    if token is not None:
-                        spans.span_end(token, size=len(dirty))
-                    self._finish_wake(variable, dirty)
-                    return
-                candidates = self.database.numeric_candidates(
-                    variable, old_numeric, new_numeric)
+            if columnar is not None:
+                spans = self._spans
+                token = None
+                if spans is not None:
+                    self._sweep_tick = tick = \
+                        (self._sweep_tick + 1) % _SPAN_SAMPLE
+                    if tick == 0:
+                        token = spans.span_begin("sweep")
+                dirty = columnar.numeric_write(
+                    variable, old_numeric, new_numeric, world
+                )
+                if token is not None:
+                    spans.span_end(token, size=len(dirty))
+                self._finish_wake(variable, dirty)
+                return
         elif isinstance(value, (frozenset, set, list, tuple)):
-            old_members = self.world.set_members(variable)
+            old_members = world.set_members(variable)
             new_members = value if isinstance(value, frozenset) \
                 else frozenset(value)
-            if not self.world.set_set(variable, new_members):
+            if not world.set_set(variable, new_members):
                 return
-            if self.incremental:
-                candidates = self.database.set_candidates(
-                    variable, old_members, new_members)
+            if columnar is not None:
+                self._finish_wake(variable, columnar.set_write(
+                    variable, old_members, new_members, world))
+                return
         elif value is None:
             return
         else:
             raise RuleError(f"cannot ingest value of type {type(value).__name__}")
-
-        if not self.incremental:
-            dirty = [r.name for r in self.database.rules_reading_variable(variable)]
-            self._evaluate_rules(dirty, full=False)
-            return
-        self._propagate_deltas(variable, candidates)
+        # The seed path: re-walk every rule reading the variable.
+        self._evaluate_rules(
+            [r.name for r in self.database.rules_reading_variable(variable)]
+        )
 
     def ingest_batch(
         self, writes: "Iterable[tuple[str, Any]]"
@@ -582,11 +523,9 @@ class RuleEngine:
         :meth:`ingest` per entry (edge-triggered firing forbids
         deferring or merging observable intermediate states; value
         coalescing is the bus's job, gated by ``coalesce_safe``).  What
-        the batch entry point buys is the columnar hot path per write
-        (one vectorized threshold sweep instead of a per-atom candidate
-        loop) plus batch-level observability: returns ``(atoms_flipped,
-        clauses_touched)`` deltas for this batch, ``(0, 0)`` on the
-        object-graph paths."""
+        the batch entry point buys is batch-level observability: returns
+        ``(atoms_flipped, clauses_touched)`` deltas for this batch,
+        ``(0, 0)`` on the seed path (which keeps no columnar counters)."""
         spans = self._spans
         token = spans.span_begin("batch") if spans is not None else None
         columnar = self._columnar
@@ -616,8 +555,8 @@ class RuleEngine:
 
     @property
     def columnar_stats(self) -> "ColumnarStats | None":
-        """The columnar backend's hot-path counters (None when the
-        engine runs an object-graph path)."""
+        """The columnar state's hot-path counters (None on the seed
+        path)."""
         return self._columnar.stats if self._columnar is not None else None
 
     def set_telemetry(self, telemetry: Any) -> None:
@@ -642,51 +581,13 @@ class RuleEngine:
             self._wheel_wake_sizes = None
 
     def wheel_stats(self) -> dict | None:
-        """The time wheel's schedule counters (None with the wheel off):
+        """The time wheel's schedule counters (None on the seed path):
         ``armed`` distinct boundaries currently scheduled, ``armed_total``
         boundaries ever armed (subscriptions plus re-arms)."""
         wheel = self._time_wheel
         if wheel is None:
             return None
         return {"armed": len(wheel), "armed_total": wheel.armed_total}
-
-    def _propagate_deltas(self, variable: str,
-                          candidates: Iterable) -> None:
-        """Verify candidate atoms, flip subscriber bits, wake watchers."""
-        dirty: set[str] = set()
-        bits = self._bits
-        columnar = self._columnar
-        network = self._network
-        truth_cache = self._atom_truth
-        for entry in candidates:
-            new_truth = entry.atom.evaluate(self.world)
-            if columnar is not None:
-                # Columnar path (discrete/membership candidates; numeric
-                # writes take numeric_write): truth is deduplicated and
-                # cached in the columns, so the backend both detects the
-                # flip and fans it out.
-                dirty.update(columnar.atom_flipped(entry.key, new_truth))
-                continue
-            if truth_cache.get(entry.key, False) == new_truth:
-                continue
-            truth_cache[entry.key] = new_truth
-            if network is not None:
-                # Shared path: flip each distinct clause once; only
-                # clause-truth flips fan out to rules.
-                dirty.update(network.atom_flipped(entry.key, new_truth))
-            elif new_truth:
-                for name, bit in entry.subscribers.items():
-                    current = bits.get(name)
-                    if current is not None:
-                        bits[name] = current | bit
-                        dirty.add(name)
-            else:
-                for name, bit in entry.subscribers.items():
-                    current = bits.get(name)
-                    if current is not None:
-                        bits[name] = current & ~bit
-                        dirty.add(name)
-        self._finish_wake(variable, dirty)
 
     def _finish_wake(self, variable: str, dirty: set[str]) -> None:
         """Shared tail of every ingest: add the variable's watchers and
@@ -700,20 +601,16 @@ class RuleEngine:
         watchers = self.database.variable_watchers(variable)
         if watchers:
             dirty.update(watchers)
-        self._wake_watch_sets(variable, dirty, refresh_stale_bits=True)
-        self._evaluate_dirty(dirty, full=False)
+        self._wake_watch_sets(variable, dirty)
+        self._evaluate_dirty(dirty)
         if token is not None:
             spans.span_end(token, size=len(dirty))
 
-    def _wake_watch_sets(
-        self, variable: str, dirty: set[str], *, refresh_stale_bits: bool
-    ) -> None:
+    def _wake_watch_sets(self, variable: str, dirty: set[str]) -> None:
         """Union in the per-variable sets the seed path re-examined on
         every relevant change: DENIED rules retrying arbitration,
         holding rules with a watching ``until``, and disabled-skipped
-        rules (whose stale per-rule bits are refreshed here when the
-        upcoming evaluation will not — shared clause nodes never go
-        stale, and a ``full`` evaluation refreshes on its own)."""
+        rules."""
         denied = self._denied_watch.get(variable)
         if denied:
             dirty.update(denied)
@@ -724,12 +621,9 @@ class RuleEngine:
             for name in list(self._disabled_dirty):
                 watch = self._watch_vars.get(name)
                 if watch is not None and variable in watch:
-                    if refresh_stale_bits and self._network is None \
-                            and self._columnar is None:
-                        self._refresh_static_bits(name)
                     dirty.add(name)
 
-    def _evaluate_dirty(self, dirty: set[str], *, full: bool) -> None:
+    def _evaluate_dirty(self, dirty: set[str]) -> None:
         """Evaluate a wake set in the seed's deterministic rule_id order
         (skipping names a queued wake outlived)."""
         if not dirty:
@@ -739,7 +633,7 @@ class RuleEngine:
             (name for name in dirty if name in database),
             key=lambda name: database.get(name).rule_id,
         )
-        self._evaluate_rules(ordered, full=full)
+        self._evaluate_rules(ordered)
 
     def post_event(
         self,
@@ -770,7 +664,7 @@ class RuleEngine:
             if name not in self.database:
                 continue
             rule = self.database.get(name)
-            truth = self._compute_truth(name, rule, full=True)
+            truth = self._compute_truth(name, rule)
             if self._truth.get(name, False) and not truth:
                 self._truth[name] = False
                 if self._state.get(name) in (RuleState.ACTIVE, RuleState.FALLBACK):
@@ -785,9 +679,10 @@ class RuleEngine:
         clock task and the cluster shards share, so window-boundary
         semantics can never drift between the two facades.
 
-        With the wheel off, every rule reading the clock pseudo-variable
-        is re-evaluated (O(clock rules) per tick).  With the wheel on,
-        only rules whose window atoms crossed a start/end boundary since
+        On the seed path every rule reading the clock pseudo-variable is
+        re-evaluated (O(clock rules) per tick).  Incrementally, the time
+        wheel wakes only rules whose window atoms crossed a start/end
+        boundary since
         the last tick wake — plus the sets the blanket wake re-examined
         every tick as a side effect and that genuinely need it: DENIED
         rules retrying arbitration, holding rules with a clock-reading
@@ -809,8 +704,8 @@ class RuleEngine:
         wake = self._time_wheel.advance(self.simulator.now)
         if self._tick_stateful:
             wake |= self._tick_stateful
-        self._wake_watch_sets(CLOCK_VARIABLE, wake, refresh_stale_bits=False)
-        self._evaluate_dirty(wake, full=True)
+        self._wake_watch_sets(CLOCK_VARIABLE, wake)
+        self._evaluate_dirty(wake)
         if token is not None:
             spans.span_end(token, size=len(wake))
             self._wheel_wake_counter.inc(len(wake))
@@ -820,8 +715,8 @@ class RuleEngine:
         """The earliest simulated time the next ``clock_tick`` can do
         observable work — the wheel-aware tick scheduler's sleep target.
 
-        Returns ``now`` when every periodic tick matters (no wheel, or
-        any tick-stateful plan / DENIED / until / disabled clock-watcher
+        Returns ``now`` when every periodic tick matters (the seed path,
+        or any tick-stateful plan / DENIED / until / disabled clock-watcher
         the blanket wake would re-examine each tick), the next armed
         wheel boundary when only window crossings remain, and ``inf``
         when nothing clock-driven exists at all.  Demand can only move
@@ -849,64 +744,25 @@ class RuleEngine:
 
     def reevaluate(self, rule_names: list[str]) -> None:
         """Recompute the truth of the given rules, firing edges."""
-        self._evaluate_rules(rule_names, full=True)
+        self._evaluate_rules(rule_names)
 
     def reevaluate_all(self) -> None:
         self.reevaluate([rule.name for rule in self.database.all_rules()])
 
-    def _compute_truth(self, name: str, rule: Rule, full: bool) -> bool:
-        """Current condition truth.
-
-        ``full`` recomputes every atom slot (registration, explicit
-        reevaluation, clock ticks); otherwise the cached bits — already
-        updated by delta propagation — are combined with freshly
-        evaluated volatile atoms.  Stateful plans and the non-incremental
-        baseline walk the condition tree exactly as the seed engine did.
-        """
-        if not self.incremental:
-            return rule.condition.evaluate(self.world)
+    def _compute_truth(self, name: str, rule: Rule) -> bool:
+        """Current condition truth: the columnar clause counters (kept
+        current by every write) combined with freshly evaluated volatile
+        atoms.  Stateful plans and the seed path walk the condition tree
+        exactly as the seed engine did."""
         plan = self._plans.get(name)
         if plan is None or plan.has_duration:
             return rule.condition.evaluate(self.world)
-        if self._columnar is not None:
-            # Clause counters are maintained by delta propagation and
-            # never go stale, so full and partial reads are the same.
-            volatile_bits = (
-                plan.volatile_bits(self.world) if plan.volatile_slots else 0
-            )
-            return self._columnar.rule_truth(name, volatile_bits)
-        if self._network is not None:
-            # Shared clause nodes are maintained by delta propagation and
-            # never go stale, so full and partial reads are the same.
-            volatile_bits = (
-                plan.volatile_bits(self.world) if plan.volatile_slots else 0
-            )
-            return self._network.rule_truth(name, volatile_bits)
-        if full:
-            bits = self._refresh_static_bits(name)
-        else:
-            bits = self._bits.get(name, 0)
-        if plan.volatile_slots:
-            bits |= plan.volatile_bits(self.world)
-        return plan.truth(bits)
+        volatile_bits = (
+            plan.volatile_bits(self.world) if plan.volatile_slots else 0
+        )
+        return self._columnar.rule_truth(name, volatile_bits)
 
-    def _refresh_static_bits(self, name: str) -> int:
-        """Recompute a fast rule's static atom bits from the world (pure;
-        never touches duration state)."""
-        plan = self._plans.get(name)
-        if plan is None or plan.has_duration:
-            return 0
-        bits = 0
-        truth_cache = self._atom_truth
-        for bit, key, atom in plan.static_slots:
-            atom_truth = atom.evaluate(self.world)
-            if atom_truth:
-                bits |= bit
-            truth_cache[key] = atom_truth
-        self._bits[name] = bits
-        return bits
-
-    def _evaluate_rules(self, rule_names: Iterable[str], full: bool) -> None:
+    def _evaluate_rules(self, rule_names: Iterable[str]) -> None:
         """Shared edge-firing loop of both evaluation paths."""
         rising: list[Rule] = []
         for name in rule_names:
@@ -921,7 +777,7 @@ class RuleEngine:
                 continue
             if self._disabled_dirty:
                 self._disabled_dirty.discard(name)
-            truth = self._compute_truth(name, rule, full)
+            truth = self._compute_truth(name, rule)
             previous = self._truth.get(name, False)
             self._truth[name] = truth
             if truth and not previous:
@@ -1167,11 +1023,11 @@ class RuleEngine:
         """JSON-ready snapshot of every piece of runtime state that is
         *not* a pure function of (world, registered rules).
 
-        Backend state — columnar atom/clause columns, shared-network
-        nodes, per-rule bitsets, watch-variable indexes — is deliberately
-        absent: re-registering the rules against the restored world
-        rebuilds it exactly (subscription evaluates first-seen atoms
-        against the world).  What must be carried verbatim is the world
+        Evaluation state — columnar atom/clause columns and write
+        indexes, watch-variable indexes — is deliberately absent:
+        re-registering the rules against the restored world rebuilds it
+        exactly (subscription evaluates first-seen atoms against the
+        world).  What must be carried verbatim is the world
         itself, edge-trigger memory (truth), the arbitration outcome
         (states, holders), held-since bookkeeping with its pending
         recheck timers, the wheel's armed boundaries (a boundary between
@@ -1220,7 +1076,8 @@ class RuleEngine:
     def restore_world(self, snapshot: dict) -> None:
         """Recovery phase 1: overlay the world *before* rules re-register,
         so registration-time subscription evaluates atoms against the
-        restored values and every backend rebuilds in its final state."""
+        restored values and the columnar state rebuilds in its final
+        state."""
         world = self.world
         data = snapshot["world"]
         world._numeric.clear()

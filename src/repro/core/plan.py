@@ -3,9 +3,9 @@
 A registered condition is compiled **once** into a :class:`CompiledPlan`:
 a deduplicated table of atom slots plus DNF clause bitmasks.  Rule truth
 then reduces to ``any((bits & mask) == mask for mask in clauses)`` over a
-per-rule atom-truth bitset, and the engine only touches the bits that an
-ingest actually flipped (driven by the atom-level index in
-:mod:`repro.core.database`).
+atom-truth bitset.  The incremental engine keeps that truth per atom and
+per clause in :class:`~repro.core.columnar.ColumnarState` and only
+touches what an ingest actually flipped.
 
 Atoms fall into three behavioural classes:
 
@@ -13,7 +13,8 @@ static
     :class:`NumericAtom`, :class:`DiscreteAtom`, :class:`MembershipAtom`
     — truth is a pure function of stored world variables.  Their truth
     is cached globally (atoms are deduplicated by key across rules) and
-    flipped by the database's threshold / value-keyed indexes.
+    flipped through the columnar state's threshold / value-keyed /
+    member-keyed write indexes.
 volatile
     :class:`TimeWindowAtom`, :class:`EventAtom` — truth depends on
     ambient context (the clock, the current event set) that changes
@@ -58,15 +59,15 @@ class CompiledPlan:
         clauses: one bitmask per surviving DNF conjunction, subsumption-
             reduced (a clause implied by a shorter clause is dropped).
         static_slots: ``(bit, atom_key, atom)`` triples for atoms whose
-            truth the engine caches and the database indexes.
+            truth the columnar state caches and indexes.
         volatile_slots: ``(bit, atom)`` pairs re-evaluated fresh on every
             truth computation.
         clause_parts: per surviving clause, ``(static_keys, volatile_mask)``
             — the clause's static conjunction as a *sorted* tuple of atom
-            keys (the shared evaluation network's clause-node identity,
-            equal across rules with equal conjunctions) plus the bitmask
-            of its volatile atoms.  Empty for stateful plans, which never
-            join the shared network.
+            keys (the columnar clause-slot identity, equal across rules
+            with equal conjunctions) plus the bitmask of its volatile
+            atoms.  Empty for stateful plans, which never join the
+            columnar state.
         has_duration: the plan is stateful (see module docstring).
         variables / numeric_variables: cached variable footprints.
     """
@@ -159,10 +160,10 @@ def compile_condition(condition: Condition) -> CompiledPlan:
             if isinstance(atom, FalseAtom):
                 dead = True
                 break
-            # Interned keys make cross-rule dedup (the database's atom
-            # table, clause-node identity, the columnar interners) use
-            # pointer-equal strings: dict probes hit the identity fast
-            # path and duplicated templates share one key object.
+            # Interned keys make cross-rule dedup (the columnar atom and
+            # clause interners) use pointer-equal strings: dict probes
+            # hit the identity fast path and duplicated templates share
+            # one key object.
             key = sys.intern(atom.key())
             slot = slot_of.get(key)
             if slot is None:

@@ -84,9 +84,6 @@ def build_rule_stack(
     conflict_policy: ConflictPolicy | None = None,
     prefer_intervals: bool = True,
     incremental: bool = True,
-    shared: bool = True,
-    wheel: bool = True,
-    columnar: bool = True,
     max_trace: int | None = DEFAULT_MAX_TRACE,
     telemetry=None,
 ) -> RuleStack:
@@ -109,9 +106,6 @@ def build_rule_stack(
             rule.owner, spec.device_udn, spec.device_name, spec.action_name,
         ),
         incremental=incremental,
-        shared=shared,
-        wheel=wheel,
-        columnar=columnar,
         max_trace=max_trace,
         telemetry=telemetry,
     )
@@ -211,9 +205,6 @@ class HomeServer:
         conflict_policy: ConflictPolicy | None = None,
         clock_tick_period: float = 60.0,
         incremental: bool = True,
-        shared: bool = True,
-        wheel: bool = True,
-        columnar: bool = True,
         max_trace: int | None = DEFAULT_MAX_TRACE,
         telemetry=None,
     ) -> None:
@@ -226,9 +217,6 @@ class HomeServer:
             conflict_policy=conflict_policy,
             prefer_intervals=prefer_intervals,
             incremental=incremental,
-            shared=shared,
-            wheel=wheel,
-            columnar=columnar,
             max_trace=max_trace,
             telemetry=telemetry,
         )

@@ -185,7 +185,7 @@ def _mixed_condition(index: int, rng, zone_count: int) -> Condition:
     ])
 
 
-# -- templated / dense-window populations (A7 shared-network workloads) --------
+# -- templated / dense-window populations (A7 clause-sharing workloads) -------
 
 
 @dataclass
@@ -198,9 +198,9 @@ class TemplatedPopulation:
     where hundreds of apartments run the same vendor rule pack.  All
     thresholds sit inside ``(toggle_low, toggle_high)``, so one toggle
     of ``hot_variable`` flips every distinct atom while every clause
-    stays false (occupancy is never set): exactly the delta the shared
-    network absorbs in O(templates) and the per-rule path pays
-    O(templates × duplication) for.
+    stays false (occupancy is never set): exactly the delta clause
+    sharing absorbs in O(templates) where a per-rule evaluation would
+    pay O(templates × duplication).
     """
 
     database: RuleDatabase

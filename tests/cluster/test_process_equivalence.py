@@ -11,8 +11,9 @@ reproduce exactly the ordering an in-process drain produces.
 Scripts come from :mod:`tests.cluster.recovery_stack` — the same
 seeded multi-home lives the durability suites replay, with fractional
 timestamps so no ingest ever ties with a whole-second timer.  Runs
-cover the columnar and both ablation backends (flags ride the HELLO
-config into the worker), plus cross-home mirror rules whose fan-out
+cover the fast path and the ``incremental=False`` oracle (the flag
+rides the HELLO config into the worker), plus cross-home mirror rules
+whose fan-out
 crosses the socket, and a durability round-trip where WAL/snapshot
 files written by worker processes restore onto either backend.
 """
@@ -84,15 +85,6 @@ def test_with_coalescing(seed):
         side["traces"] = {}
     assert_equivalent(results["process"], results["thread"],
                       f"seed {seed}, coalesced")
-
-
-@pytest.mark.parametrize("seed", (2, 5))
-def test_ablation_backend_per_rule(seed):
-    """columnar=False: the per-rule engine path behind the wire."""
-    results = run_twins(seed, homes=HOMES[:2], shard_count=2,
-                        columnar=False)
-    assert_equivalent(results["process"], results["thread"],
-                      f"seed {seed}, columnar off")
 
 
 def test_ablation_backend_non_incremental():

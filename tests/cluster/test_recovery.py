@@ -93,6 +93,27 @@ def test_round_trip_restores_runtime_exactly(tmp_path):
     restored.shutdown()
 
 
+def test_manifest_with_retired_engine_flags_still_restores(tmp_path):
+    """Manifests written before the evaluation-backend flags were
+    retired still carry ``shared``/``wheel``/``columnar`` in their
+    config; restore ignores them and serves the one fast path."""
+    ops = script(1)
+    expected = expected_outcome(ops)
+    server = durable_cluster(tmp_path)
+    assert drive_durable(server, ops) is None
+    abandon(server)
+    manifest = manifest_of(tmp_path)
+    manifest["config"].update(shared=False, wheel=False, columnar=False)
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+    restored, report = restore(tmp_path)
+    assert report.ok()
+    assert restored.shards[0].engine.columnar_stats is not None
+    restored.simulator.run_until(end_time_of(ops))
+    restored.flush()
+    assert_equivalent(observe(restored), expected, "retired flags")
+    restored.shutdown()
+
+
 def test_restore_surfaces_recovery_metrics(tmp_path):
     ops = script(2)
     server = durable_cluster(tmp_path)

@@ -5,8 +5,8 @@ fault-injected crash point — before/during/after a WAL append, mid
 apply-loop, mid snapshot write, at the manifest commit — snapshot +
 tail-replay recovery followed by re-feeding the undurable op suffix is
 observably identical (truth, states, holders, full traces) to an
-uninterrupted twin that ran the same script, across both the columnar
-and the ablation (per-rule) backends.
+uninterrupted fast-path twin that ran the same script, whether the
+crashing cluster runs the fast path or the ``incremental=False`` oracle.
 
 Single-shard runs draw crash points from the full site menu and resume
 from the restored cluster's durable applied-entry count (one entry per
@@ -43,22 +43,22 @@ CHECKPOINT_SITES = (CRASH_SNAPSHOT_WRITE, CRASH_MANIFEST_COMMIT)
 
 
 def run_crash_twin(tmp_path, seed, *, homes=(HOME,), shard_count=1,
-                   columnar=True, sites=ALL_CRASH_SITES, max_restarts=4):
+                   incremental=True, sites=ALL_CRASH_SITES, max_restarts=4):
     """Drive the script through a durable cluster with a seeded crash
     plan, restoring and resuming after every simulated power cut, and
-    assert the outcome matches the crash-free twin.  Returns the number
+    assert the outcome matches the crash-free fast-path twin.
+    ``incremental`` configures the crashing cluster.  Returns the number
     of restarts taken."""
     ops = script(seed, homes=homes)
     end_time = end_time_of(ops)
 
-    twin = new_cluster(Simulator(), homes,
-                       shard_count=shard_count, columnar=columnar)
+    twin = new_cluster(Simulator(), homes, shard_count=shard_count)
     drive_uninterrupted(twin, ops, end_time)
     expected = observe(twin, homes)
     twin.shutdown()
 
     server = new_cluster(Simulator(), homes,
-                         shard_count=shard_count, columnar=columnar)
+                         shard_count=shard_count, incremental=incremental)
     server.attach_durability(DurabilityPlane(str(tmp_path)))
     # Armed only after the attach checkpoint committed: a real fleet
     # enables durability healthy and crashes later.
@@ -101,9 +101,10 @@ def test_single_shard_any_crash_point(tmp_path, seed):
 
 @pytest.mark.parametrize("seed", (2, 5))
 def test_single_shard_ablation_backend(tmp_path, seed):
-    """Same property with the columnar backend off (per-rule engine
-    path): recovery must not depend on backend internals."""
-    restarts = run_crash_twin(tmp_path, seed, columnar=False)
+    """The seed oracle (``incremental=False``) crashing and restoring
+    must match the uninterrupted fast path: recovery must not depend on
+    evaluation internals."""
+    restarts = run_crash_twin(tmp_path, seed, incremental=False)
     assert restarts >= 1
 
 

@@ -180,11 +180,12 @@ def test_busstats_attribute_api_reads_registry():
         cluster.shutdown()
 
 
-def test_busstats_direct_mutation_is_deprecated_but_works():
-    stats = BusStats()
-    with pytest.warns(DeprecationWarning):
+def test_busstats_attributes_are_read_only():
+    stats = BusStats(published=3)
+    with pytest.raises(AttributeError):
         stats.published = 5
-    assert stats.published == 5
+    assert stats.published == 3
+    assert stats.registry.counter("bus.published").value == 3
     with pytest.raises(TypeError):
         BusStats(nonsense=1)
     seeded = BusStats(published=3, coalesced=1)

@@ -94,7 +94,7 @@ class TestSleeping:
         shard.shutdown()
 
     def test_adaptive_ticks_disabled_without_the_wheel(self):
-        simulator, shard = make_shard(adaptive=True, wheel=False)
+        simulator, shard = make_shard(adaptive=True, incremental=False)
         assert shard.adaptive_ticks is False
         shard.register_rule(window_rule())
         simulator.run_until(hhmm(1))

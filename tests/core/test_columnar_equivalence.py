@@ -1,11 +1,11 @@
-"""Property tests: the columnar backend is observably identical to the
-object-graph paths, batch boundaries included.
+"""Property tests: the columnar fast path is observably identical to the
+seed oracle, batch boundaries included.
 
 Three equivalence axes, each driven by seeded random streams over the
 same mixed rule population as the incremental suite:
 
-* **columnar vs shared network** — the array-backed backend against the
-  ``columnar=False`` ClauseNode ablation, full mixed stream with
+* **columnar vs oracle** — the array-backed fast path against the
+  ``incremental=False`` seed interpreter, full mixed stream with
   mid-stream rule churn;
 * **vector vs scalar sweeps** — ``vector_min=0`` (every window takes the
   numpy path) against ``use_numpy=False`` (every window takes the
@@ -173,13 +173,13 @@ def drive_stream(twin: BackendTwin, rng: random.Random,
 
 
 @pytest.mark.parametrize("seed", (20260807, 13, 99))
-def test_columnar_vs_network_stream(seed):
+def test_columnar_vs_oracle_stream(seed):
     twin = BackendTwin([
-        ({"columnar": True}, None),
-        ({"columnar": False}, None),
+        ({}, None),
+        ({"incremental": False}, None),
     ])
     assert twin.sides[0][2]._columnar is not None
-    assert twin.sides[1][2]._network is not None
+    assert twin.sides[1][2]._columnar is None
     drive_stream(twin, random.Random(seed))
 
 
@@ -195,8 +195,8 @@ def test_vector_vs_scalar_sweeps(seed):
         engine._columnar.use_numpy = False
 
     twin = BackendTwin([
-        ({"columnar": True}, force_vector),
-        ({"columnar": True}, force_scalar),
+        ({}, force_vector),
+        ({}, force_scalar),
     ])
     drive_stream(twin, random.Random(seed))
     vector_stats = twin.sides[0][2].columnar_stats
@@ -267,13 +267,13 @@ def test_batch_boundary_equivalence(seed):
 
 
 def test_object_path_batch_returns_zero_stats():
-    """``ingest_batch`` on a non-columnar engine falls back to the
-    ingest loop and reports no columnar counters."""
+    """``ingest_batch`` on the seed path (condition-tree objects, no
+    columns) runs the ingest loop and reports no columnar counters."""
     simulator = Simulator()
     database = RuleDatabase()
     engine = RuleEngine(
         database, PriorityManager(), simulator,
-        dispatch=lambda spec: None, columnar=False,
+        dispatch=lambda spec: None, incremental=False,
     )
     for rule in build_rules():
         database.add(rule)
@@ -302,6 +302,8 @@ def test_unsubscribe_releases_every_slot():
     assert not state._tables
     assert not state._rule_atoms
     assert not state._num_index
+    assert not state._discrete_index
+    assert not state._set_index
     assert len(state._atoms) == 0
     assert len(state._clauses) == 0
     assert len(state._atoms.free) == atom_capacity

@@ -1,14 +1,22 @@
-"""Tests for the shared evaluation network: clause-node dedup across
-rules, O(distinct clauses) atom-flip fan-out, refcounted subscriptions
-and removal pruning (including the remove-mid-stream / re-registration
-staleness regression)."""
+"""Tests for the engine's shared evaluation network — the clause slots of
+:class:`~repro.core.columnar.ColumnarState`: identical clauses deduped
+across rules, atom flips fanning out only through clause-truth
+crossings, refcounted subscriptions and removal pruning (including the
+remove-mid-stream / re-registration staleness regression), plus spot
+checks of the fast path against the seed oracle."""
 
 import pytest
 
-from repro.core.condition import AndCondition, OrCondition, TimeWindowAtom
+from repro.core.condition import (
+    AndCondition,
+    FalseAtom,
+    OrCondition,
+    TimeWindowAtom,
+    TrueAtom,
+)
 from repro.core.database import RuleDatabase
 from repro.core.engine import RuleEngine, RuleState
-from repro.core.priority import PriorityManager
+from repro.core.priority import PriorityManager, PriorityOrder
 from repro.sim.clock import hhmm
 from repro.sim.events import Simulator
 
@@ -26,11 +34,6 @@ HUMID = "hygro:h:humidity"
 
 class Harness:
     def __init__(self, **engine_kwargs):
-        # These tests pin the object-graph SharedNetwork layer, which is
-        # the columnar backend's ablation baseline — so the columnar
-        # default is switched off here (the columnar equivalence suite
-        # covers the array path).
-        engine_kwargs.setdefault("columnar", False)
         self.simulator = Simulator()
         self.database = RuleDatabase()
         self.dispatched = []
@@ -50,12 +53,18 @@ class Harness:
 
     @property
     def network(self):
-        return self.engine._network
+        return self.engine._columnar
 
 
 def hot_and_occupied(threshold=28.0, person="Tom"):
     """The templated two-atom conjunction the network dedupes."""
     return AndCondition([temp_above(threshold), in_room(person)])
+
+
+def only_clause(state):
+    """The clause slot of a network holding exactly one clause."""
+    (cid,) = state._clauses.ids.values()
+    return cid
 
 
 class TestClauseSharing:
@@ -65,9 +74,15 @@ class TestClauseSharing:
             harness.add_rule(make_rule(
                 f"r{index}", "Tom", hot_and_occupied(),
                 action(device=f"d{index}")))
-        assert len(harness.network) == 1
-        (node,) = harness.network._nodes.values()
-        assert set(node.subscribers) == {f"r{index}" for index in range(5)}
+        state = harness.network
+        assert len(state) == 1
+        assert set(state._clause_subs[only_clause(state)]) == {
+            f"r{index}" for index in range(5)
+        }
+        # The two atoms are interned once, each referenced by all five.
+        assert len(state._atoms) == 2
+        assert sorted(state._atom_refs[aid]
+                      for aid in state._atoms.ids.values()) == [5, 5]
 
     def test_distinct_clauses_get_distinct_nodes(self):
         harness = Harness()
@@ -88,18 +103,21 @@ class TestClauseSharing:
         calls = []
         original = harness.engine._evaluate_rules
 
-        def spy(names, full):
+        def spy(names):
             names = list(names)
             calls.append(names)
-            return original(names, full)
+            return original(names)
 
         harness.engine._evaluate_rules = spy
+        state = harness.network
+        hot_key = temp_above(28.0).key()
         harness.engine.ingest(TEMP, 30.0)  # occupancy unknown: clause false
+        assert state.atom_truth(hot_key) is True
         harness.engine.ingest(TEMP, 20.0)
+        assert state.atom_truth(hot_key) is False
         assert calls == []  # atom flipped twice, no rule was woken
-        # Sanity: the node's bit really toggled.
-        (node,) = harness.network._nodes.values()
-        assert not node.truth
+        assert state._clause_false[only_clause(state)] == 2
+        assert state.stats.atoms_flipped == 2
 
     def test_clause_flip_wakes_every_subscriber_once(self):
         harness = Harness()
@@ -115,8 +133,8 @@ class TestClauseSharing:
         assert len(harness.dispatched) == 4
 
     def test_shared_static_part_across_or_clauses_is_refcounted(self):
-        """(A∧B∧evening) ∨ (A∧B∧night) references the node (A,B) twice
-        from one rule; removal must drop both references and the node."""
+        """(A∧B∧evening) ∨ (A∧B∧night) references the clause (A,B) twice
+        from one rule; removal must drop both references and the slot."""
         harness = Harness()
         condition = OrCondition([
             AndCondition([temp_above(28.0), in_room("Tom"),
@@ -125,16 +143,18 @@ class TestClauseSharing:
                           TimeWindowAtom(hhmm(21), hhmm(6))]),
         ])
         harness.add_rule(make_rule("r", "Tom", condition, action()))
-        assert len(harness.network) == 1
-        (node,) = harness.network._nodes.values()
-        assert node.subscribers == {"r": 2}
+        state = harness.network
+        assert len(state) == 1
+        cid = only_clause(state)
+        assert state._clause_subs[cid] == {"r": 2}
+        assert state._clause_refs[cid] == 2
         harness.remove_rule("r")
-        assert len(harness.network) == 0
-        assert not harness.network._atom_nodes
-        assert not harness.network._tables
+        assert len(state) == 0
+        assert len(state._atoms) == 0
+        assert not state._tables
+        assert not state._rule_atoms
 
     def test_constant_true_and_false_conditions(self):
-        from repro.core.condition import FalseAtom, TrueAtom
         harness = Harness()
         harness.add_rule(make_rule("always", "Tom", TrueAtom(),
                                    action(device="d0")))
@@ -142,6 +162,9 @@ class TestClauseSharing:
                                    action(device="d1")))
         assert harness.engine.rule_truth("always") is True
         assert harness.engine.rule_truth("never") is False
+        # Constants take no atom or clause slot: truth is the table alone.
+        assert len(harness.network) == 0
+        assert len(harness.network._atoms) == 0
 
 
 class TestRemovalPruning:
@@ -152,57 +175,63 @@ class TestRemovalPruning:
         harness.add_rule(make_rule("b", "Tom", hot_and_occupied(),
                                    action(device="d1")))
         harness.engine.ingest(TEMP, 30.0)
+        state = harness.network
+        hot_key = temp_above(28.0).key()
         harness.remove_rule("a")
-        assert len(harness.network) == 1  # b still subscribes
-        assert harness.engine._atom_truth
+        assert len(state) == 1  # b still subscribes
+        assert state.atom_truth(hot_key) is True
         harness.remove_rule("b")
-        assert len(harness.network) == 0
-        assert not harness.network._atom_nodes
-        assert not harness.network._tables
-        assert not harness.engine._atom_truth
+        assert len(state) == 0
+        assert state.atom_truth(hot_key) is None
+        assert not state._tables
+        assert not state._num_index
+        assert not state._discrete_index
 
     def test_remove_mid_stream_then_reregister_reads_fresh_world(self):
         """Regression: a removed rule's cached atom truth (and clause
-        node) must not survive to poison a later re-registration.  The
-        world changes while no rule subscribes the atom — the database
-        generates no candidates then, so a stale cache entry would be
-        trusted forever."""
+        slot) must not survive to poison a later re-registration.  The
+        world changes while no rule subscribes the atom — no index
+        generates candidates then, so a stale slot would be trusted
+        forever."""
         harness = Harness()
         harness.add_rule(make_rule("r", "Tom", temp_above(25.0), action()))
         harness.engine.ingest(TEMP, 30.0)       # atom true, rule fires
         assert harness.engine.rule_truth("r") is True
         harness.remove_rule("r")
-        assert not harness.engine._atom_truth   # pruned with the last sub
+        # Released with the last subscriber.
+        assert harness.network.atom_truth(temp_above(25.0).key()) is None
         harness.engine.ingest(TEMP, 20.0)       # unobserved: no subscribers
         harness.add_rule(make_rule("r", "Tom", temp_above(25.0), action()))
         assert harness.engine.rule_truth("r") is False  # fresh evaluation
         assert not harness.dispatched[1:]       # re-registration cannot fire
 
     def test_remove_mid_stream_per_rule_ablation_matches(self):
-        """The same regression through the shared=False bitset path."""
-        harness = Harness(shared=False)
+        """The same regression through the seed oracle, which evaluates
+        each rule's condition tree on its own (the per-rule ablation)."""
+        harness = Harness(incremental=False)
         harness.add_rule(make_rule("r", "Tom", temp_above(25.0), action()))
         harness.engine.ingest(TEMP, 30.0)
+        assert harness.engine.rule_truth("r") is True
         harness.remove_rule("r")
-        assert not harness.engine._atom_truth
         harness.engine.ingest(TEMP, 20.0)
         harness.add_rule(make_rule("r", "Tom", temp_above(25.0), action()))
         assert harness.engine.rule_truth("r") is False
 
     def test_network_absent_without_incremental_or_shared(self):
-        assert Harness(incremental=False).network is None
-        assert Harness(shared=False).network is None
-        assert Harness(incremental=False, shared=True).network is None
+        """The oracle shares nothing across rules: no network, no wheel."""
+        assert Harness().network is not None
+        oracle = Harness(incremental=False)
+        assert oracle.network is None
+        assert oracle.engine._time_wheel is None
 
 
 class TestSharedAblationSpotChecks:
-    """Cheap behavioural parity checks between shared and per-rule paths
-    (the randomized stream suites do the heavy lifting)."""
+    """Cheap behavioural parity checks between the fast path and the
+    seed oracle (the randomized stream suites do the heavy lifting)."""
 
-    @pytest.mark.parametrize("shared", (True, False))
-    def test_denied_retry_and_fallback(self, shared):
-        from repro.core.priority import PriorityOrder
-        harness = Harness(shared=shared)
+    @pytest.mark.parametrize("incremental", (True, False))
+    def test_denied_retry_and_fallback(self, incremental):
+        harness = Harness(incremental=incremental)
         harness.engine.priorities.add_order(
             PriorityOrder("tv-1", ("Alan", "Tom")))
         harness.add_rule(make_rule("tom", "Tom", in_room("Tom"), action()))
@@ -214,9 +243,9 @@ class TestSharedAblationSpotChecks:
         harness.engine.ingest("person:Alan:place", "kitchen")
         assert harness.engine.rule_state("tom") is RuleState.ACTIVE
 
-    @pytest.mark.parametrize("shared", (True, False))
-    def test_multi_clause_or_condition(self, shared):
-        harness = Harness(shared=shared)
+    @pytest.mark.parametrize("incremental", (True, False))
+    def test_multi_clause_or_condition(self, incremental):
+        harness = Harness(incremental=incremental)
         condition = OrCondition([
             AndCondition([temp_above(28.0), in_room("Tom")]),
             humid_above(60.0),

@@ -1,15 +1,18 @@
-"""Property tests: the shared-clause network and the time-window wheel
-are observably identical to their per-rule / per-tick ablations.
+"""Property tests: the fast path's clause sharing and time-window wheel
+are observably identical to the seed oracle under real clock ticks.
 
-Two twin harnesses mirror ``test_incremental_equivalence``:
+Two twin harnesses mirror ``test_incremental_equivalence``, each
+driving the fast path (default engine) against ``incremental=False``
+with time advanced tick by tick through :meth:`RuleEngine.clock_tick`
+exactly as the server facades do:
 
-* the **shared pair** drives the mixed-atom household stream through
-  ``shared=True`` vs ``shared=False`` engines (both incremental);
+* the **shared pair** drives the mixed-atom household stream, whose
+  rules share atoms and clause slots in the columnar state;
 * the **wheel pair** drives a window-heavy population — boundaries that
   fall mid-tick, windows wrapping midnight, weekday restrictions,
-  durations and untils over windows — through ``wheel=True`` vs
-  ``wheel=False`` engines, with time advanced tick by tick through
-  :meth:`RuleEngine.clock_tick` exactly as the server facades do.
+  durations and untils over windows — where the fast path wakes rules
+  only at window boundaries and the oracle re-evaluates every clock
+  reader each tick.
 
 Both suites churn rules mid-stream (add, disable/enable, remove-while-
 scheduled) and assert truth/state/holders after every step and traces
@@ -55,7 +58,8 @@ TICK_PERIOD = 60.0
 
 class AblationTwin:
     """One home driven through two engine configurations in lock-step,
-    with clock ticks delivered through the real ``clock_tick`` path."""
+    with clock ticks delivered through the real ``clock_tick`` path.
+    The second configuration is the ablation (the seed oracle)."""
 
     def __init__(self, kwargs_a: dict, kwargs_b: dict, rules) -> None:
         self.sides = []
@@ -144,13 +148,16 @@ class AblationTwin:
         assert trace_a == trace_b
 
 
+ORACLE = {"incremental": False}
+
+
 # -- shared-network pair -------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", (20260730, 11, 42))
 def test_shared_network_stream_equivalence(seed):
     rng = random.Random(seed)
-    twin = AblationTwin({"shared": True}, {"shared": False}, build_rules)
+    twin = AblationTwin({}, ORACLE, build_rules)
     twin.check("initial")
     for step in range(240):
         op = rng.random()
@@ -263,10 +270,7 @@ def churn_window_rule() -> Rule:
 
 
 @pytest.mark.parametrize("seed", (20260730, 13, 99))
-@pytest.mark.parametrize("ablation", (
-    {"wheel": False},
-    {"wheel": False, "shared": False},
-))
+@pytest.mark.parametrize("ablation", (ORACLE,))
 def test_wheel_stream_equivalence(seed, ablation):
     rng = random.Random(seed)
     twin = AblationTwin({}, ablation, build_window_rules)

@@ -145,18 +145,19 @@ class TestEngineClockTick:
 
     def test_mid_tick_boundary_observed_at_next_tick(self):
         """A 17:00:30 start with minute ticks flips at 17:01 — exactly
-        when the per-tick path would have seen it."""
-        for wheel in (True, False):
-            simulator, database, engine, _ = self._harness(wheel=wheel)
+        when the seed's per-tick path would have seen it."""
+        for incremental in (True, False):
+            simulator, database, engine, _ = self._harness(
+                incremental=incremental)
             rule = make_rule(
                 "r", "Tom",
                 TimeWindowAtom(hhmm(17, 0, 30), hhmm(21)), action())
             database.add(rule)
             engine.rule_added(rule)
             self._tick_to(simulator, engine, hhmm(17, 0))
-            assert engine.rule_truth("r") is False, wheel
+            assert engine.rule_truth("r") is False, incremental
             self._tick_to(simulator, engine, hhmm(17, 1))
-            assert engine.rule_truth("r") is True, wheel
+            assert engine.rule_truth("r") is True, incremental
 
     def test_removed_rule_never_woken_by_stale_schedule(self):
         simulator, database, engine, dispatched = self._harness()
@@ -186,10 +187,10 @@ class TestEngineClockTick:
         calls = []
         original = engine._evaluate_rules
 
-        def spy(names, full):
+        def spy(names):
             names = list(names)
             calls.append(names)
-            return original(names, full)
+            return original(names)
 
         engine._evaluate_rules = spy
         self._tick_to(simulator, engine, hhmm(5))

@@ -131,8 +131,9 @@ class TestSaveRestore:
 
     def test_rule_removal_mid_stream_prunes_every_bucket(self):
         """Removing a restored rule while sensor events keep flowing must
-        prune every index bucket (atom entries, threshold bands, engine
-        plans/bits/watches) and leave the surviving rules live."""
+        prune every index bucket (variable watches, engine plans and
+        watches, its columnar clause table) and leave the surviving
+        rules live."""
         old = populated_stack()
         archive = save_household(
             old.server, {name: old.session(name) for name in ("Tom", "Alan")}
@@ -161,16 +162,15 @@ class TestSaveRestore:
         database = server.database
         engine = server.engine
         assert "tom-climate" not in database
-        for entry in database._atom_entries.values():
-            assert "tom-climate" not in entry.subscribers
-        for band in database._numeric_bands.values():
-            for bucket_entry in (band.below_e + band.above_e + band.recheck):
-                assert "tom-climate" not in bucket_entry.subscribers
         for watchers in database._var_watch.values():
             assert "tom-climate" not in watchers
         assert "tom-climate" not in engine._plans
-        assert "tom-climate" not in engine._bits
         assert "tom-climate" not in engine._watch_vars
+        state = engine._columnar
+        assert "tom-climate" not in state._tables
+        assert "tom-climate" not in state._rule_atoms
+        for subscribers in state._clause_subs:
+            assert "tom-climate" not in subscribers
         for rules in engine._held_atom_rules.values():
             assert "tom-climate" not in rules
         # The survivor still arbitrates normally on the live stream.
