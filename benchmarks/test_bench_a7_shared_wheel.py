@@ -159,5 +159,4 @@ def test_wheel_tick(benchmark, window_setups, count):
     benchmark(_ticking(simulator, engine))
 
     report("A7", f"wheel clock tick @ {count} window rules",
-           "O(crossings): ~flat in window-rule count",
-           median_seconds(benchmark))
+           "O(crossings)", median_seconds(benchmark))

@@ -115,7 +115,7 @@ def test_columnar_batch_ingest(benchmark, setups, rules):
     MEDIANS[(rules, BATCH_SIZE)] = median
     report("A9", f"columnar batch ingest @ {rules} rules "
                  f"(batch {BATCH_SIZE})",
-           "vectorized sweep: ~10x over object path", median)
+           "vectorized threshold sweep", median)
 
 
 # -- ingest vs batch size ------------------------------------------------------
