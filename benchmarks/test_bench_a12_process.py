@@ -64,7 +64,7 @@ def fleet():
 def _build_cluster(fleet, shard_count, backend):
     cluster = ClusterServer(
         Simulator(), shard_count=shard_count, backend=backend,
-        coalesce=False, batch=True, max_trace=None, telemetry=False,
+        coalesce=False, max_trace=None, telemetry=False,
     )
     for rule in fleet.all_rules():
         cluster.register_rule(rule, validate=False)
@@ -145,7 +145,7 @@ def test_wire_codec_overhead(fleet):
     """Acceptance (every runner): encoding + decoding a batch costs
     ≤15% of applying it — measured against the columnar apply on a
     shard loaded with the fleet's rules."""
-    shard = EngineShard(0, Simulator(), telemetry=None)
+    shard = EngineShard(0, Simulator(), telemetry=False)
     for rule in fleet.all_rules():
         shard.register_rule(rule, validate=False)
     sensors = [v for home in fleet.homes

@@ -1,5 +1,5 @@
 """A6 — cluster sharding: ingest throughput vs shard count, and the
-batched/coalescing ingest bus vs per-event dispatch.
+batched/coalescing ingest bus on a bursty stream.
 
 The ROADMAP's production target is millions of users; no single engine
 serves that, so the cluster layer fans homes out across independent
@@ -12,11 +12,12 @@ shards.  Two shapes are measured:
   *critical path* — the slowest shard — which this benchmark reports.
   With homes spread by consistent hashing, the critical path shrinks
   ~linearly as shards are added.
-* **Batched drain vs per-event dispatch** — a bursty stream (chatty
-  sensors emitting runs of readings) through the batching/coalescing
-  bus versus the per-event ablation (one scheduler callback per
-  reading).  Coalescing collapses each run to its settled value, so the
-  batched bus wins on exactly the streams that hurt most.
+* **Batched drain on a bursty stream** — chatty sensors emitting runs
+  of readings through the batching/coalescing bus.  Coalescing
+  collapses each run to its settled value.  The per-event ablation
+  (one scheduler callback per reading) is retired; its last ledger
+  rows, full size at sha 647f481, were 16.98 ms batched+coalesced vs
+  58.86 ms per-event at bursts of 16 (3.5x).
 
 Sizes shrink under ``REPRO_BENCH_SMOKE=1`` (the CI fail-fast job); the
 shape assertions adapt.
@@ -55,10 +56,10 @@ def fleet():
     return build_home_fleet(FLEET_HOMES, RULES_PER_HOME, seed="a6-fleet")
 
 
-def _build_cluster(fleet, shard_count, *, coalesce, batch=True):
+def _build_cluster(fleet, shard_count, *, coalesce):
     cluster = ClusterServer(
         Simulator(), shard_count=shard_count,
-        coalesce=coalesce, batch=batch, max_trace=10_000,
+        coalesce=coalesce, max_trace=10_000,
     )
     for rule in fleet.all_rules():
         cluster.register_rule(rule, validate=False)
@@ -68,9 +69,6 @@ def _build_cluster(fleet, shard_count, *, coalesce, batch=True):
         for variable in fleet.sensors_by_home[home]:
             cluster.ingest(variable, 50.0)
     cluster.flush()
-    # flush() only drains queues; batch=False primes are scheduled
-    # directly on the simulator and must be run to apply.
-    cluster.simulator.run_until(cluster.simulator.now)
     return cluster
 
 
@@ -136,54 +134,38 @@ def test_shard_scaling_shape():
 
 
 def test_batched_drain_beats_per_event_dispatch(fleet):
-    """Acceptance: on bursty streams the batching/coalescing bus beats
-    per-event dispatch (one simulator callback per reading)."""
+    """The batched/coalescing bus on a bursty stream: its ledger row,
+    and the coalescing the stream must trigger.
+
+    The per-event arm and its x1.3 gate are retired with the per-event
+    bus; the ledger keeps the comparison (full size, sha 647f481,
+    bursts of 16): batched+coalesced 16.98 ms vs per-event dispatch
+    58.86 ms."""
     shard_count = SHARD_SWEEP[-1] // 2 or 1
-    batched = _build_cluster(fleet, shard_count, coalesce=True, batch=True)
-    per_event = _build_cluster(fleet, shard_count, coalesce=False, batch=False)
+    batched = _build_cluster(fleet, shard_count, coalesce=True)
     stream = fleet_event_stream(
         fleet, events=BURSTY_EVENTS, burst=BURST, seed="a6-bursty"
     )
 
-    def run(cluster, offset):
-        start = time.perf_counter()
-        for variable, value in stream:
-            cluster.ingest(variable, value + offset)
-        cluster.flush()
-        simulator = cluster.simulator
-        simulator.run_until(simulator.now)  # settles per-event dispatches
-        return time.perf_counter() - start
-
-    batched_times, per_event_times = [], []
+    batched_times = []
     for round_index in range(ROUNDS):
         offset = 0.013 * (round_index + 1)
-        batched_times.append(run(batched, offset))
-        per_event_times.append(run(per_event, offset))
+        start = time.perf_counter()
+        for variable, value in stream:
+            batched.ingest(variable, value + offset)
+        batched.flush()
+        batched_times.append(time.perf_counter() - start)
     batched_times.sort()
-    per_event_times.sort()
     batched_median = batched_times[len(batched_times) // 2]
-    per_event_median = per_event_times[len(per_event_times) // 2]
-    speedup = per_event_median / batched_median
 
     stats = batched.stats()
     report(
         "A6",
         f"batched+coalesced drain, bursts of {BURST}",
-        f"n/a (bus ablation; applied {stats.applied}/{stats.published} "
+        f"n/a (bursty stream; applied {stats.applied}/{stats.published} "
         "writes)",
         batched_median,
     )
-    report(
-        "A6",
-        f"per-event dispatch, bursts of {BURST}",
-        f"n/a (bus ablation; x{speedup:.2f} slower than batched)",
-        per_event_median,
-    )
     batched.shutdown()
-    per_event.shutdown()
 
     assert stats.coalesced > 0, "bursty stream never coalesced a write"
-    assert speedup >= 1.3, (
-        f"batched drain only x{speedup:.2f} vs per-event dispatch "
-        "(expected a clear win on bursty streams)"
-    )

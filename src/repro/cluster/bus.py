@@ -13,9 +13,13 @@ FIFO per shard
     equivalence from PR 1 carries over to the cluster unchanged.
 
 Batch drain
-    The first publish to an idle shard schedules one drain; every
-    further publish before it runs joins the same batch.  A burst of M
-    events costs one scheduler round-trip instead of M.
+    The first publish to an idle shard schedules one drain at the
+    current simulated time; every further publish before it runs joins
+    the same batch.  A burst of M events costs one scheduler round-trip
+    instead of M.  On bursty streams that made the batched, coalescing
+    bus 3.5x faster than a per-event dispatcher (one simulator callback
+    per publish) in benchmark A6's last comparison, whose ledger rows
+    A6's docstring cites.
 
 Write coalescing
     A write whose variable matches the *tail* of the pending queue
@@ -46,10 +50,6 @@ Mirror routes (cross-shard rules)
     coalescing entirely — the owner shard cannot prove a skipped
     intermediate value harmless for rules it does not host, and that
     one value could be exactly the edge that fires a cross-home rule.
-
-``batch=False`` turns the bus into a per-event dispatcher (one
-simulator callback per publish; mirror fan-out happens at apply time) —
-the ablation baseline benchmark A6 measures batching against.
 """
 
 from __future__ import annotations
@@ -162,16 +162,12 @@ class IngestBus:
         router: ShardRouter,
         *,
         coalesce: bool = True,
-        batch: bool = True,
-        drain_delay: float = 0.0,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.simulator = simulator
         self.shards = list(shards)
         self.router = router
         self.coalesce = coalesce
-        self.batch = batch
-        self.drain_delay = drain_delay
         # The bus's counters live in a registry (passed in to survive bus
         # re-creation over re-registered shards); BusStats is a reading
         # view and the hot paths below increment bound counters directly.
@@ -214,13 +210,7 @@ class IngestBus:
 
     def attach_durability(self, plane) -> None:
         """Bind a :class:`~repro.cluster.durability.DurabilityPlane`: each
-        drained batch is WAL-logged before it is applied.  Requires the
-        batched drain path — per-event dispatch (``batch=False``) applies
-        straight off the simulator with no batch boundary to log."""
-        if not self.batch:
-            raise ValueError(
-                "durability requires the batched bus (batch=True)"
-            )
+        drained batch is WAL-logged before it is applied."""
         self._durability = plane
 
     def apply_entries(self, index: int, entries: Sequence) -> int:
@@ -236,7 +226,7 @@ class IngestBus:
         for entry in entries:
             if isinstance(entry, Event):
                 self._flush_run(index, run)
-                self._apply(index, _Event(*entry))
+                self._apply_event(index, entry)
             else:
                 run.append(entry)
         self._flush_run(index, run)
@@ -278,9 +268,6 @@ class IngestBus:
         queue carries its relevant writes in global publish order."""
         index = self.router.shard_of(variable)
         self._published.inc()
-        if not self.batch:
-            self._schedule_single(index, _Write(variable, value))
-            return index
         routes = self._mirror_routes.get(variable)
         if self.coalesce and not routes:
             queue = self._queues[index]
@@ -319,13 +306,9 @@ class IngestBus:
         targets = range(len(self.shards)) if shard is None else (shard,)
         for index in targets:
             self._events.inc()
-            entry = _Event(event_type, subject, only)
-            if not self.batch:
-                self._schedule_single(index, entry)
-                continue
             # The event becomes the queue tail, so it naturally breaks
             # any coalescible run of writes.
-            self._queues[index].append(entry)
+            self._queues[index].append(_Event(event_type, subject, only))
             self._schedule_drain(index)
 
     # -- draining --------------------------------------------------------------
@@ -349,9 +332,9 @@ class IngestBus:
             self._drain(index, send)
 
     def shutdown(self) -> None:
-        """Cancel scheduled drains; queued entries are dropped — and so
-        are per-event (``batch=False``) applies already sitting on the
-        simulator, which the closed flag intercepts."""
+        """Cancel scheduled drains and drop queued entries; the closed
+        flag stops a drain already under way (a dispatch callback may
+        shut the cluster down mid-batch) from applying the rest."""
         self._closed = True
         for index, handle in enumerate(self._drain_handles):
             if handle is not None:
@@ -362,7 +345,7 @@ class IngestBus:
     def _schedule_drain(self, index: int) -> None:
         if self._drain_handles[index] is None:
             self._drain_handles[index] = self.simulator.call_after(
-                self.drain_delay, lambda: self._run_drain(index)
+                0.0, lambda: self._run_drain(index)
             )
 
     def _run_drain(self, index: int) -> None:
@@ -414,7 +397,7 @@ class IngestBus:
                 run.append((entry.variable, entry.value))
                 continue
             self._flush_run(index, run)
-            self._apply(index, entry)
+            self._apply_event(index, entry)
         self._flush_run(index, run)
         shard.end_batch(send=send)
         queue.clear()
@@ -448,38 +431,11 @@ class IngestBus:
             self._clauses_touched.inc(touched)
         run.clear()
 
-    def _schedule_single(self, index: int, entry: _Write | _Event) -> None:
-        """Per-event dispatch (``batch=False``): one callback per entry.
-        FIFO still holds — the simulator breaks time ties by insertion
-        order."""
-        self.simulator.call_after(
-            self.drain_delay, lambda: self._apply_single(index, entry)
-        )
-
-    def _apply_single(self, index: int, entry: _Write | _Event) -> None:
-        """Apply one per-event entry; writes fan out to the variable's
-        mirror subscribers at apply time (owner first), so routes added
-        or removed between publish and apply are honoured."""
-        self._apply(index, entry)
-        self.shards[index].end_batch()
-        if self._closed or not isinstance(entry, _Write):
-            return
-        for target in self._mirror_routes.get(entry.variable, ()):
-            if target != index:
-                self._mirrored.inc()
-                self._apply(target, entry)
-                self.shards[target].end_batch()
-
-    def _apply(self, index: int, entry: _Write | _Event) -> None:
+    def _apply_event(self, index: int, event: _Event | Event) -> None:
         if self._closed:
             return
-        shard = self.shards[index]
-        if isinstance(entry, _Write):
-            shard.ingest(entry.variable, entry.value)
-            self._applied.inc()
-        else:
-            shard.post_event(entry.event_type, entry.subject,
-                             only=entry.only)
+        self.shards[index].post_event(event.event_type, event.subject,
+                                      only=event.only)
         self.applied_counts[index] += 1
 
     def _coalesce_safe(self, index: int, variable: str) -> bool:

@@ -18,8 +18,9 @@ WAL (``wal-<id>-shard<k>.log``)
     Every drained ingest batch as its typed batch record
     (:class:`~repro.cluster.wire.WireEncoder`: a header with a
     cluster-global sequence number, the simulated drain time and the
-    shard's rule-churn epoch, then ``u32`` key ids, ``f64`` values and a
-    JSON side table for strings, sets and events), CRC-framed
+    shard's rule-churn epoch, then one ``u64`` slot per write — key id
+    plus value id — ``f64`` values and a JSON side table for new names,
+    interned strings and sets, inline values and events), CRC-framed
     (:mod:`repro.support.wal`) and appended *before* the batch is
     applied.  On the process backend the record is the BATCH payload
     the worker received, appended by the worker; in-thread, the shard
@@ -429,9 +430,12 @@ def restore_cluster(
     ``backend`` overrides the manifest's recorded shard backend — a
     cluster that crashed as worker processes may restore in-thread and
     vice versa; the durable state is backend-agnostic.  Config keys this
-    code no longer reads (the retired ``shared``/``wheel``/``columnar``
-    engine flags of older manifests) are ignored: every incremental
-    cluster now runs the one fast path, which is observably identical.
+    code no longer reads are ignored: the retired ``shared``/``wheel``/
+    ``columnar`` engine flags (every incremental cluster now runs the one
+    fast path, which is observably identical) and the retired ``batch``,
+    ``drain_delay``, ``prefer_intervals`` and ``adaptive_ticks`` knobs
+    (no cluster was built with other than their defaults, which are
+    now fixed behaviour).
     """
     start = perf_counter_ns()
     try:
@@ -471,13 +475,9 @@ def restore_cluster(
         backend=resolved_backend,
         dispatch=dispatch,
         coalesce=config["coalesce"],
-        batch=config["batch"],
-        drain_delay=config["drain_delay"],
         prompt_policy=prompt_policy,
         conflict_policy=conflict_policy,
-        prefer_intervals=config["prefer_intervals"],
         incremental=config["incremental"],
-        adaptive_ticks=config["adaptive_ticks"],
         max_trace=config["max_trace"],
         clock_tick_period=config["clock_tick_period"],
         telemetry=config["telemetry"],

@@ -42,7 +42,6 @@ from repro.core.rule import Rule
 from repro.core.server import ConflictPolicy, coerce_reading
 from repro.errors import DuplicateRuleError, UnknownRuleError
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
-from repro.obs.trace import Telemetry
 from repro.obs.prom import render_prometheus
 from repro.sim.events import Simulator
 
@@ -88,13 +87,9 @@ class ClusterServer:
         dispatch: Callable[[ActionSpec], None] | None = None,
         backend: str = "thread",
         coalesce: bool = True,
-        batch: bool = True,
-        drain_delay: float = 0.0,
         prompt_policy: PromptPolicy | None = None,
         conflict_policy: ConflictPolicy | None = None,
-        prefer_intervals: bool = True,
         incremental: bool = True,
-        adaptive_ticks: bool = True,
         max_trace: int | None = DEFAULT_MAX_TRACE,
         clock_tick_period: float = 60.0,
         telemetry: bool = True,
@@ -114,11 +109,7 @@ class ClusterServer:
             "shard_count": self.router.shard_count,
             "backend": backend,
             "coalesce": coalesce,
-            "batch": batch,
-            "drain_delay": drain_delay,
-            "prefer_intervals": prefer_intervals,
             "incremental": incremental,
-            "adaptive_ticks": adaptive_ticks,
             "max_trace": max_trace,
             "clock_tick_period": clock_tick_period,
             "telemetry": telemetry,
@@ -128,21 +119,18 @@ class ClusterServer:
         # telemetry() folds them into per-shard and aggregate views.
         self.telemetry_enabled = telemetry
         self._bus_registry = MetricsRegistry()
+        # One shard configuration for both backends; a process shard
+        # ships it to its worker in the HELLO.
+        shard_config = {
+            "prompt_policy": prompt_policy,
+            "conflict_policy": conflict_policy,
+            "incremental": incremental,
+            "max_trace": max_trace,
+            "clock_tick_period": clock_tick_period,
+            "telemetry": telemetry,
+        }
         if backend == "process":
-            # One worker process per shard; the engine configuration
-            # ships in the HELLO and the Telemetry (if any) is built
-            # worker-side on the worker's private clock.
             from repro.cluster.worker import ShardClient
-            shard_config = {
-                "prompt_policy": prompt_policy,
-                "conflict_policy": conflict_policy,
-                "prefer_intervals": prefer_intervals,
-                "incremental": incremental,
-                "adaptive_ticks": adaptive_ticks,
-                "max_trace": max_trace,
-                "clock_tick_period": clock_tick_period,
-                "telemetry": telemetry,
-            }
             self.shards = []
             try:
                 for index in range(self.router.shard_count):
@@ -156,28 +144,13 @@ class ClusterServer:
                 raise
         else:
             self.shards = [
-                EngineShard(
-                    index,
-                    simulator,
-                    dispatch=dispatch,
-                    prompt_policy=prompt_policy,
-                    conflict_policy=conflict_policy,
-                    prefer_intervals=prefer_intervals,
-                    incremental=incremental,
-                    adaptive_ticks=adaptive_ticks,
-                    max_trace=max_trace,
-                    clock_tick_period=clock_tick_period,
-                    telemetry=(
-                        Telemetry(shard=index, clock=lambda: simulator.now)
-                        if telemetry else None
-                    ),
-                )
+                EngineShard(index, simulator, dispatch=dispatch,
+                            **shard_config)
                 for index in range(self.router.shard_count)
             ]
         self.bus = IngestBus(
             simulator, self.shards, self.router,
-            coalesce=coalesce, batch=batch, drain_delay=drain_delay,
-            registry=self._bus_registry,
+            coalesce=coalesce, registry=self._bus_registry,
         )
         self._shard_of_rule: dict[str, int] = {}
         self._home_of_rule: dict[str, str] = {}

@@ -31,6 +31,7 @@ from repro.core.priority import PriorityOrder
 from repro.core.rule import Rule
 from repro.core.server import ConflictPolicy, build_rule_stack
 from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS_MS, SIZE_BOUNDS
+from repro.obs.trace import Telemetry
 from repro.sim.events import Simulator
 from repro.support.fsio import atomic_write_bytes
 from repro.support.wal import WalWriter
@@ -42,14 +43,29 @@ def _discard_dispatch(spec: ActionSpec) -> None:
     """Default action sink; cluster deployments plug real transports in."""
 
 
+#: The shard-surface methods a process shard forwards as one synchronous
+#: call.  :class:`~repro.cluster.worker.ShardClient` gets one forwarder
+#: per name and :class:`~repro.cluster.worker.WorkerHost` runs the name
+#: on its shard; every other public method is one-way or worker-side.
+REMOTE_CALLS = (
+    "register_rule", "remove_rule", "add_priority_order", "rule_count",
+    "rule_truth", "rule_state", "holder_of", "trace", "coalesce_safe",
+    "adopt_mirrors", "release_mirrors", "mirrors_of_rule",
+    "mirror_variables", "variable_value", "telemetry_snapshot",
+    "restore_world", "set_recovery_hooks", "recover", "wal_sync",
+    "snapshot_to",
+)
+
+
 class EngineShard:
     """A self-contained rule engine for the homes one shard owns.
 
     The public methods below form the **shard surface** — the contract
-    :class:`~repro.cluster.worker.ShardClient` re-implements over the
-    wire so the bus, facade and durability plane route to in-thread and
-    out-of-process shards uniformly.  Code above this class must not
-    reach into ``shard.engine``/``shard.database`` directly.
+    :class:`~repro.cluster.worker.ShardClient` serves over the wire
+    (:data:`REMOTE_CALLS` names the forwarded calls) so the bus, facade
+    and durability plane route to in-thread and out-of-process shards
+    uniformly.  Code above this class must not reach into
+    ``shard.engine``/``shard.database`` directly.
     """
 
     #: Which side of the process boundary this shard runs on; the
@@ -64,21 +80,23 @@ class EngineShard:
         dispatch: Dispatch | None = None,
         prompt_policy: PromptPolicy | None = None,
         conflict_policy: ConflictPolicy | None = None,
-        prefer_intervals: bool = True,
         incremental: bool = True,
-        adaptive_ticks: bool = True,
         max_trace: int | None = DEFAULT_MAX_TRACE,
         clock_tick_period: float = 60.0,
-        telemetry=None,
+        telemetry: bool = False,
     ) -> None:
         self.shard_id = shard_id
         self.simulator = simulator
-        # Observability seam: a repro.obs.trace.Telemetry (or None).
-        # Latency histograms are bound once here; when telemetry is off
-        # every ingest pays one None check and no clock reads.
-        self.telemetry = telemetry
-        if telemetry is not None and telemetry.enabled:
-            registry = telemetry.registry
+        # Observability seam: this shard's own Telemetry, on the shard's
+        # clock (or None).  Latency histograms are bound once here; when
+        # telemetry is off every ingest pays one None check and no clock
+        # reads.
+        self.telemetry = (
+            Telemetry(shard=shard_id, clock=lambda: simulator.now)
+            if telemetry else None
+        )
+        if self.telemetry is not None:
+            registry = self.telemetry.registry
             self._write_hist = registry.histogram(
                 "ingest.write_ms", DEFAULT_LATENCY_BOUNDS_MS)
             self._batch_hist = registry.histogram(
@@ -94,10 +112,9 @@ class EngineShard:
             dispatch=dispatch if dispatch is not None else _discard_dispatch,
             prompt_policy=prompt_policy,
             conflict_policy=conflict_policy,
-            prefer_intervals=prefer_intervals,
             incremental=incremental,
             max_trace=max_trace,
-            telemetry=telemetry,
+            telemetry=self.telemetry,
         )
         self.database = stack.database
         self.priorities = stack.priorities
@@ -122,21 +139,21 @@ class EngineShard:
         self._wal: WalWriter | None = None
         self._wal_encoder = WireEncoder()
         # -- clock ticks -----------------------------------------------------
-        # Incrementally, a tick at a non-boundary time with no
+        # On the fast path a tick at a non-boundary time with no
         # DENIED/until/disabled/stateful clock-watchers is a no-op, so
         # the shard sleeps until the wheel's next armed boundary instead
         # of waking every period.  Wakes stay snapped to the fixed
         # cadence grid (anchor + k*period) so observable tick times — and
-        # therefore traces — are identical to a fixed-cadence shard.
+        # therefore traces — are identical to the oracle's fixed cadence.
         self.clock_tick_period = clock_tick_period
-        self.adaptive_ticks = adaptive_ticks and incremental
+        self._adaptive = incremental
         self.ticks = 0  # clock_tick invocations (scheduling observability)
         self.tick_sleeps = 0  # adaptive re-arms that skipped ≥1 grid tick
         self._tick_anchor = simulator.now
         self._tick_deadline: float | None = None
         self._tick_handle = None
         self._stopped = False
-        if self.adaptive_ticks:
+        if incremental:
             self.engine.on_clock_demand_changed = self._on_clock_demand_changed
         self._arm_clock()
 
@@ -156,10 +173,6 @@ class EngineShard:
 
     def add_priority_order(self, order: PriorityOrder) -> PriorityOrder:
         return self.priorities.add_order(order)
-
-    @property
-    def conflict_log(self) -> list[ConflictReport]:
-        return self.pipeline.conflict_log
 
     def rule_count(self) -> int:
         return len(self.database)
@@ -339,14 +352,14 @@ class EngineShard:
             self._tick_handle = None
         self._tick_deadline = None
         demand = (
-            self.engine.clock_demand() if self.adaptive_ticks
+            self.engine.clock_demand() if self._adaptive
             else self.simulator.now
         )
         if demand == math.inf:
             self.tick_sleeps += 1
             return  # nothing clock-driven; the demand hook re-arms us
         self._tick_deadline = self._next_grid(demand)
-        if self.adaptive_ticks \
+        if self._adaptive \
                 and self._tick_deadline > self._next_grid(self.simulator.now):
             self.tick_sleeps += 1
         self._tick_handle = self.simulator.call_at(
@@ -382,7 +395,7 @@ class EngineShard:
         but overhead — then returns the registry snapshot tagged with
         the shard id and the recent-spans ring."""
         telemetry = self.telemetry
-        if telemetry is None or not telemetry.enabled:
+        if telemetry is None:
             return None
         registry = telemetry.registry
         registry.counter("shard.ticks").value = self.ticks

@@ -8,15 +8,15 @@ The socket is a reliable stream, so frames carry no checksum; the WAL
 Frame types split by payload codec:
 
 * **Batch records** (``BATCH``) — the ingest hot path.  One record is
-  one drained batch: a fixed header, ``u32`` key ids, ``f64`` values
-  and a small JSON side table (see :class:`WireEncoder`).  The record
-  bytes are also the shard's WAL record body: a worker CRC-frames and
-  appends the payload it received, so a batch is encoded once, in the
-  parent, and never pickled.  Decoding from disk is therefore safe.
-* **JSON payloads** — plain-data calls and their results.
-* **Pickled payloads** — calls that carry rich objects (``Rule``,
-  ``PriorityOrder``, ``ConflictReport`` lists, exceptions) and the
-  ``ActionSpec`` of each forwarded action.
+  one drained batch: a fixed header, one ``u64`` slot per write (key
+  id plus value id), ``f64`` values and a small JSON side table (see
+  :class:`WireEncoder`).  The record bytes are also the shard's WAL
+  record body: a worker CRC-frames and appends the payload it
+  received, so a batch is encoded once, in the parent, and never
+  pickled.  Decoding from disk is therefore safe.
+* **Pickled payloads** — everything else: the handshake, calls and
+  their results and errors, and the ``ActionSpec`` of each forwarded
+  action.
 
 Pickled frames are parent↔worker within one trust domain — the
 connection is a private ``socketpair`` inherited at fork, never a
@@ -24,13 +24,15 @@ listening socket — the same trade the snapshot plane already makes.
 
 BATCH frames are one-way: the parent queues them and sends them ahead
 of its next CALL, whose reply therefore observes their effects (the
-stream is FIFO).  CALL/CALL_P carry a request id echoed by the matching
-RESULT/RESULT_P/ERROR.  The worker holds the ACTION frames its engine
-dispatches and writes them in front of its next reply.
+stream is FIFO).  A CALL carries a request id echoed by the matching
+RESULT or ERROR; a RESULT also carries the worker shard's rule-churn
+epoch, so the parent's copy follows every call.  The worker holds the
+ACTION frames its engine dispatches and writes them in front of its
+next reply.
 
-Every record carries the parent simulator's ``now`` so the worker's
-private clock can catch up (firing its grid-snapped ticks in order)
-before the record is applied — see
+Every record and call carries the parent simulator's ``now`` so the
+worker's private clock can catch up (firing its grid-snapped ticks in
+order) before the record is applied — see
 :class:`repro.cluster.worker.WorkerHost` for the handshake.
 
 Malformed input — bad length prefix, oversized frame, unknown type,
@@ -58,20 +60,17 @@ MAX_FRAME = 64 * 1024 * 1024
 # -- frame types ---------------------------------------------------------------
 
 HELLO = 1        # parent → worker: pickled handshake config
-HELLO_ACK = 2    # worker → parent: JSON [shard_id, pid]
+HELLO_ACK = 2    # worker → parent: pickled (shard_id, pid)
 BATCH = 3        # parent → worker, one-way: a batch record
-CALL = 5         # parent → worker: JSON [req_id, method, t, args]
-CALL_P = 6       # parent → worker: pickled (req_id, method, t, args, kwargs)
-RESULT = 7       # worker → parent: JSON [req_id, value]
-RESULT_P = 8     # worker → parent: pickled (req_id, value)
+CALL = 5         # parent → worker: pickled (req_id, method, t, args, kwargs)
+RESULT = 7       # worker → parent: pickled (req_id, value, epoch)
 ERROR = 9        # worker → parent: pickled (req_id, exception, traceback_text)
 ACTION = 10      # worker → parent, ahead of a reply: pickled ActionSpec
 BYE = 12         # parent → worker: empty; worker closes WAL and exits
 
 FRAME_NAMES = {
     HELLO: "HELLO", HELLO_ACK: "HELLO_ACK", BATCH: "BATCH", CALL: "CALL",
-    CALL_P: "CALL_P", RESULT: "RESULT", RESULT_P: "RESULT_P",
-    ERROR: "ERROR", ACTION: "ACTION", BYE: "BYE",
+    RESULT: "RESULT", ERROR: "ERROR", ACTION: "ACTION", BYE: "BYE",
 }
 
 _KNOWN_TYPES = frozenset(FRAME_NAMES)
@@ -157,10 +156,6 @@ def decode_value(value: Any) -> Any:
 
 # -- payload codecs ------------------------------------------------------------
 
-def _dump_json(obj: Any) -> bytes:
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
-
-
 def _load_json(payload: bytes) -> Any:
     try:
         return json.loads(payload)
@@ -179,34 +174,14 @@ def decode_pickled(payload: bytes) -> Any:
         raise WireError(f"undecodable pickled payload: {exc}") from exc
 
 
-def encode_call(req_id: int, method: str, t: float, args: Sequence) -> bytes:
-    return encode_frame(CALL, _dump_json([req_id, method, t, list(args)]))
-
-
-def decode_call(payload: bytes) -> tuple[int, str, float, list]:
-    req_id, method, t, args = _load_json(payload)
-    return req_id, method, t, args
-
-
-def encode_call_pickled(
-    req_id: int, method: str, t: float, args: Sequence, kwargs: dict
-) -> bytes:
+def encode_call(req_id: int, method: str, t: float, args: tuple,
+                kwargs: dict) -> bytes:
     return encode_frame(
-        CALL_P, encode_pickled((req_id, method, t, list(args), kwargs))
-    )
+        CALL, encode_pickled((req_id, method, t, args, kwargs)))
 
 
-def encode_result(req_id: int, value: Any) -> bytes:
-    return encode_frame(RESULT, _dump_json([req_id, value]))
-
-
-def decode_result(payload: bytes) -> tuple[int, Any]:
-    req_id, value = _load_json(payload)
-    return req_id, value
-
-
-def encode_result_pickled(req_id: int, value: Any) -> bytes:
-    return encode_frame(RESULT_P, encode_pickled((req_id, value)))
+def encode_result(req_id: int, value: Any, epoch: int) -> bytes:
+    return encode_frame(RESULT, encode_pickled((req_id, value, epoch)))
 
 
 def encode_error(req_id: int, exception: BaseException, tb_text: str) -> bytes:

@@ -4,7 +4,8 @@ The thread-backed cluster is bounded by the GIL — N
 :class:`~repro.cluster.shard.EngineShard`\\ s drain on one interpreter,
 so A6's "linear scaling" is time-sliced, not parallel.  This module
 moves each shard into its own worker process behind the framed wire
-protocol of :mod:`repro.cluster.wire`:
+protocol of :mod:`repro.cluster.wire`.  Both sides derive their calls
+from one declaration, :data:`~repro.cluster.shard.REMOTE_CALLS`:
 
 :class:`ShardClient` (parent side)
     Implements the shard surface over a blocking ``socketpair``, so the
@@ -12,7 +13,9 @@ protocol of :mod:`repro.cluster.wire`:
     :class:`~repro.cluster.server.ClusterServer` and
     :class:`~repro.cluster.durability.DurabilityPlane` route to local
     and remote shards uniformly — ``backend="process"`` is the only
-    difference an application sees.  The feeds of one drained batch
+    difference an application sees.  Each declared name is a generated
+    forwarder: one CALL, one RESULT (or ERROR) that also carries the
+    worker shard's epoch.  The feeds of one drained batch
     (writes and events) collect in the client and become **one** BATCH
     record when the bus ends the batch (:meth:`ShardClient.end_batch`).
     Records are one-way and ride in front of the next call: the stream
@@ -25,7 +28,11 @@ protocol of :mod:`repro.cluster.wire`:
 
 :class:`WorkerHost` (worker side)
     A blocking loop over a :class:`~repro.cluster.wire.FrameReader`,
-    hosting one ``EngineShard`` on a **private simulator**.  The clock
+    hosting one ``EngineShard`` on a **private simulator**.  A CALL
+    naming a declared method runs on the shard; ``barrier``,
+    ``wal_open`` and ``wal_close`` touch worker state, so the host
+    serves them itself; any other name is refused with
+    :class:`~repro.errors.WorkerError`.  The clock
     handshake: HELLO carries the parent simulator's ``now`` (the
     tick-grid anchor), and every record and call carries the parent's
     ``now`` again; the worker
@@ -42,7 +49,7 @@ protocol of :mod:`repro.cluster.wire`:
     leaves the parent and parallelizes across cores with the drains.
 
 Actions ride the reply: the worker holds the ACTION frames its engine
-dispatches and writes them in one send with its next RESULT/ERROR.  The
+dispatches and writes them in one send with its next RESULT or ERROR.  The
 parent reads the whole reply, dispatches its actions, then raises the
 first error (a failing dispatch callback or the call's own), so a
 raising callback never leaves a reply unread on the stream.
@@ -58,7 +65,7 @@ cross-process plumbing.
 
 from __future__ import annotations
 
-import json
+import functools
 import multiprocessing
 import os
 import socket
@@ -67,8 +74,7 @@ from collections import deque
 from typing import Any, Callable, Collection, Iterator
 
 from repro.cluster import wire
-from repro.cluster.shard import EngineShard
-from repro.core.engine import RuleState
+from repro.cluster.shard import REMOTE_CALLS, EngineShard
 from repro.errors import RecoveryError, WireError, WorkerCrashed, WorkerError
 from repro.sim.events import Simulator
 from repro.support.wal import RECORD_PREFIX_SIZE
@@ -80,6 +86,11 @@ HANDSHAKE_TIMEOUT = 30.0
 SHUTDOWN_GRACE = 5.0
 
 _RECV_CHUNK = 1 << 16
+
+#: The calls :class:`WorkerHost` serves itself, because they touch
+#: worker state: the batch counters, the record decoder, the logging
+#: flag.
+_HOST_CALLS = frozenset({"barrier", "wal_open", "wal_close"})
 
 
 # -- worker side ---------------------------------------------------------------
@@ -144,17 +155,9 @@ class WorkerHost:
         self._logging = False    # a WAL generation is open
         # ACTION frames held for the next reply.
         self._held: list[bytes] = []
-        config = dict(hello["config"])
-        telemetry = None
-        if config.pop("telemetry", False):
-            from repro.obs.trace import Telemetry
-            telemetry = Telemetry(
-                shard=shard_id, clock=lambda: self.simulator.now)
         dispatch = self._forward_action if hello["has_dispatch"] else None
         self.shard = EngineShard(
-            shard_id, self.simulator, dispatch=dispatch,
-            telemetry=telemetry, **config,
-        )
+            shard_id, self.simulator, dispatch=dispatch, **hello["config"])
 
     def _forward_action(self, spec) -> None:
         self._held.append(
@@ -169,21 +172,12 @@ class WorkerHost:
 
     def run(self, frames: Iterator[tuple[int, bytes]]) -> None:
         self.sock.sendall(wire.encode_frame(
-            wire.HELLO_ACK,
-            json.dumps([self.shard_id, os.getpid()]).encode("utf-8"),
-        ))
+            wire.HELLO_ACK, wire.encode_pickled((self.shard_id, os.getpid()))))
         for frame_type, payload in frames:
             if frame_type == wire.BATCH:
                 self._apply_record(payload)
             elif frame_type == wire.CALL:
-                req_id, method, t, args = wire.decode_call(payload)
-                self._handle_call(req_id, method, t, args, {},
-                                  pickled=False)
-            elif frame_type == wire.CALL_P:
-                req_id, method, t, args, kwargs = \
-                    wire.decode_pickled(payload)
-                self._handle_call(req_id, method, t, args, kwargs,
-                                  pickled=True)
+                self._handle_call(*wire.decode_pickled(payload))
             elif frame_type == wire.BYE:
                 self.shard.shutdown()  # closes the WAL too
                 if self._held:
@@ -226,113 +220,41 @@ class WorkerHost:
             self._flips += flips
             self._touched += touched
 
-    def _handle_call(
-        self, req_id: int, method: str, t: float,
-        args: list, kwargs: dict, *, pickled: bool,
-    ) -> None:
+    def _handle_call(self, req_id: int, method: str, t: float,
+                     args: tuple, kwargs: dict) -> None:
+        """Run one call — a declared shard method, or one of the host's
+        own — and reply with its result and the shard's epoch."""
         try:
             self.simulator.catch_up(t)
-            handler = getattr(self, "_call_" + method, None)
-            if handler is None or method.startswith("_"):
+            if method in _HOST_CALLS:  # the barrier, on every flush
+                target = getattr(self, method)
+            elif method in REMOTE_CALLS:
+                target = getattr(self.shard, method)
+            else:
                 raise WorkerError(f"unknown shard method {method!r}")
-            result = handler(*args, **kwargs)
+            reply = wire.encode_result(
+                req_id, target(*args, **kwargs), self.shard.epoch)
         except Exception as exc:
-            self._reply(
-                wire.encode_error(req_id, exc, traceback.format_exc()))
-        else:
-            self._reply(
-                wire.encode_result_pickled(req_id, result) if pickled
-                else wire.encode_result(req_id, result)
-            )
+            reply = wire.encode_error(req_id, exc, traceback.format_exc())
+        self._reply(reply)
 
-    # -- JSON-called handlers --------------------------------------------------
+    # -- calls on worker state -------------------------------------------------
 
-    def _call_barrier(self):
-        deltas = [self._flips, self._touched]
+    def barrier(self) -> tuple[int, int]:
+        deltas = (self._flips, self._touched)
         self._flips = 0
         self._touched = 0
         return deltas
 
-    def _call_coalesce_safe(self, variable):
-        return self.shard.coalesce_safe(variable)
-
-    def _call_adopt_mirrors(self, rule_name, variables):
-        return self.shard.adopt_mirrors(rule_name, variables)
-
-    def _call_release_mirrors(self, rule_name):
-        return self.shard.release_mirrors(rule_name)
-
-    def _call_mirrors_of_rule(self, rule_name):
-        return sorted(self.shard.mirrors_of_rule(rule_name))
-
-    def _call_mirror_variables(self):
-        return sorted(self.shard.mirror_variables())
-
-    def _call_rule_truth(self, name):
-        return self.shard.rule_truth(name)
-
-    def _call_rule_state(self, name):
-        return self.shard.rule_state(name).value
-
-    def _call_rule_count(self):
-        return self.shard.rule_count()
-
-    def _call_telemetry_snapshot(self, queue_depth):
-        return self.shard.telemetry_snapshot(queue_depth=queue_depth)
-
-    def _call_set_recovery_hooks(self, disarmed):
-        self.shard.set_recovery_hooks(disarmed)
-
-    def _call_wal_open(self, path, fsync_interval):
+    def wal_open(self, path: str, *, fsync_interval: int) -> None:
         self.shard.wal_open(path, fsync_interval=fsync_interval)
         # The parent restarted its key table with this generation.
         self.decoder.reset()
         self._logging = True
 
-    def _call_wal_sync(self):
-        self.shard.wal_sync()
-
-    def _call_wal_close(self):
+    def wal_close(self) -> None:
         self.shard.wal_close()
         self._logging = False
-
-    def _call_snapshot_to(self, path):
-        return self.shard.snapshot_to(path)
-
-    # -- pickle-called handlers ------------------------------------------------
-
-    def _call_register_rule(self, rule, validate=True):
-        reports = self.shard.register_rule(rule, validate=validate)
-        return reports, self.shard.epoch
-
-    def _call_remove_rule(self, name):
-        rule = self.shard.remove_rule(name)
-        return rule, self.shard.epoch
-
-    def _call_add_priority_order(self, order):
-        return self.shard.add_priority_order(order)
-
-    def _call_conflict_log(self):
-        return list(self.shard.conflict_log)
-
-    def _call_holder_of(self, udn):
-        return self.shard.holder_of(udn)
-
-    def _call_variable_value(self, variable):
-        return self.shard.variable_value(variable)
-
-    def _call_trace(self):
-        return self.shard.trace()
-
-    def _call_snapshot_state(self):
-        return self.shard.snapshot_state()
-
-    def _call_restore_world(self, state):
-        self.shard.restore_world(state)
-
-    def _call_recover(self, state):
-        self.shard.recover(state)
-        return self.shard.epoch
 
 
 # -- parent side ---------------------------------------------------------------
@@ -342,8 +264,13 @@ class ShardClient:
     """The shard surface, proxied to one worker process.
 
     Construction spawns the worker (``fork`` where available, else
-    ``spawn``), ships the engine configuration in a pickled HELLO and
-    blocks for the HELLO_ACK.  The proxy is synchronous and single-
+    ``spawn``), ships the shard configuration in a pickled HELLO and
+    blocks for the HELLO_ACK.  Each name in
+    :data:`~repro.cluster.shard.REMOTE_CALLS` is a forwarder generated
+    below the class, carrying the
+    :class:`~repro.cluster.shard.EngineShard` signature and docstring;
+    the methods spelled out here are the feeds, the barrier, the WAL
+    hooks and the lifecycle.  The proxy is synchronous and single-
     threaded like the in-thread shard it replaces; it is not safe for
     concurrent use from multiple threads.
     """
@@ -360,11 +287,11 @@ class ShardClient:
         *,
         config: dict,
         dispatch: Callable | None = None,
-        handshake_timeout: float = HANDSHAKE_TIMEOUT,
     ) -> None:
         self.shard_id = shard_id
         self.simulator = simulator
         self.dispatch = dispatch
+        #: The worker shard's rule-churn epoch, as of the last reply.
         self.epoch = 0
         self.worker_pid: int | None = None
         #: Bytes of logged records sent since the last
@@ -407,7 +334,7 @@ class ShardClient:
         try:
             self.process.start()
             child_sock.close()
-            self._sock.settimeout(handshake_timeout)
+            self._sock.settimeout(HANDSHAKE_TIMEOUT)
             self._sock.sendall(wire.encode_frame(wire.HELLO, hello))
             frame_type, payload = self._recv_frame()
             if frame_type != wire.HELLO_ACK:
@@ -415,7 +342,7 @@ class ShardClient:
                     f"expected HELLO_ACK, got "
                     f"{wire.FRAME_NAMES[frame_type]}"
                 )
-            acked_id, self.worker_pid = json.loads(payload)
+            acked_id, self.worker_pid = wire.decode_pickled(payload)
             if acked_id != shard_id:
                 raise WireError(
                     f"worker acknowledged shard {acked_id}, "
@@ -505,9 +432,7 @@ class ShardClient:
             frame_type, payload = self._recv_frame()
         error = self._dispatch_all(actions)
         if frame_type == wire.RESULT:
-            got, value = wire.decode_result(payload)
-        elif frame_type == wire.RESULT_P:
-            got, value = wire.decode_pickled(payload)
+            got, value, self.epoch = wire.decode_pickled(payload)
         elif frame_type == wire.ERROR:
             got, value, tb_text = wire.decode_pickled(payload)
             try:
@@ -527,65 +452,22 @@ class ShardClient:
             raise value
         return value
 
-    def _new_request(self) -> int:
-        req_id = self._next_req
-        self._next_req += 1
-        return req_id
-
-    def _send_call(self, frame: bytes) -> None:
-        """Send the queued records and one call frame in a single
-        packet."""
+    def _send_call(self, method: str, args: tuple = (),
+                   kwargs: dict | None = None) -> int:
+        """Send the queued records and one call in a single packet;
+        returns the call's request id."""
         self._settle_barrier()
         self._seal()
-        self._outbox.append(frame)
+        req_id = self._next_req
+        self._next_req += 1
+        self._outbox.append(wire.encode_call(
+            req_id, method, self.simulator.now, args, kwargs or {}))
         self._send_outbox()
+        return req_id
 
-    def _call(self, method: str, *args) -> Any:
-        req_id = self._new_request()
-        self._send_call(
-            wire.encode_call(req_id, method, self.simulator.now, args))
-        return self._await(req_id)
-
-    def _call_p(self, method: str, *args, **kwargs) -> Any:
-        req_id = self._new_request()
-        self._send_call(wire.encode_call_pickled(
-            req_id, method, self.simulator.now, args, kwargs))
-        return self._await(req_id)
-
-    # -- rule lifecycle --------------------------------------------------------
-
-    def register_rule(self, rule, *, validate: bool = True):
-        reports, self.epoch = self._call_p(
-            "register_rule", rule, validate=validate)
-        return reports
-
-    def remove_rule(self, name: str):
-        rule, self.epoch = self._call_p("remove_rule", name)
-        return rule
-
-    def add_priority_order(self, order):
-        return self._call_p("add_priority_order", order)
-
-    @property
-    def conflict_log(self):
-        return self._call_p("conflict_log")
-
-    def rule_count(self) -> int:
-        return self._call("rule_count")
-
-    # -- engine reads ----------------------------------------------------------
-
-    def rule_truth(self, name: str) -> bool:
-        return self._call("rule_truth", name)
-
-    def rule_state(self, name: str) -> RuleState:
-        return RuleState(self._call("rule_state", name))
-
-    def holder_of(self, udn: str):
-        return self._call_p("holder_of", udn)
-
-    def trace(self) -> list:
-        return self._call_p("trace")
+    def _call(self, method: str, args: tuple = (),
+              kwargs: dict | None = None) -> Any:
+        return self._await(self._send_call(method, args, kwargs))
 
     # -- world-state feeds (one-way, sent with the next call) ------------------
 
@@ -628,10 +510,7 @@ class ShardClient:
     def post_barrier(self) -> None:
         """Send the queued records and the counter barrier in one packet;
         :meth:`barrier` awaits the reply."""
-        req_id = self._new_request()
-        self._send_call(
-            wire.encode_call(req_id, "barrier", self.simulator.now, ()))
-        self._posted = req_id
+        self._posted = self._send_call("barrier")
 
     def _settle_barrier(self) -> None:
         """Read a posted barrier's reply before another call goes out: a
@@ -646,8 +525,8 @@ class ShardClient:
         if self._posted is None and self._settled is None:
             self.post_barrier()
         self._settle_barrier()
-        (flips, touched), self._settled = self._settled, None
-        return (flips, touched)
+        deltas, self._settled = self._settled, None
+        return deltas
 
     def take_logged_bytes(self) -> int:
         """WAL bytes the worker logs for the records sent since the last
@@ -656,45 +535,7 @@ class ShardClient:
         logged, self._logged_bytes = self._logged_bytes, 0
         return logged
 
-    def coalesce_safe(self, variable: str) -> bool:
-        return self._call("coalesce_safe", variable)
-
-    # -- mirror hosting --------------------------------------------------------
-
-    def adopt_mirrors(self, rule_name: str,
-                      variables: Collection[str]) -> list[str]:
-        return self._call("adopt_mirrors", rule_name, sorted(variables))
-
-    def release_mirrors(self, rule_name: str) -> list[str]:
-        return self._call("release_mirrors", rule_name)
-
-    def mirrors_of_rule(self, rule_name: str) -> frozenset[str]:
-        return frozenset(self._call("mirrors_of_rule", rule_name))
-
-    def mirror_variables(self) -> frozenset[str]:
-        return frozenset(self._call("mirror_variables"))
-
-    def variable_value(self, variable: str) -> Any:
-        return self._call_p("variable_value", variable)
-
-    # -- telemetry -------------------------------------------------------------
-
-    def telemetry_snapshot(self, *, queue_depth: int | None = None):
-        return self._call("telemetry_snapshot", queue_depth)
-
     # -- durability ------------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        return self._call_p("snapshot_state")
-
-    def restore_world(self, state: dict) -> None:
-        self._call_p("restore_world", state)
-
-    def set_recovery_hooks(self, disarmed: bool) -> None:
-        self._call("set_recovery_hooks", disarmed)
-
-    def recover(self, state: dict) -> None:
-        self.epoch = self._call_p("recover", state)
 
     def wal_open(self, path: str, *, fsync_interval: int = 16,
                  faults=None) -> None:
@@ -707,7 +548,7 @@ class ShardClient:
         # its table when it opens the new generation.
         self._seal()
         self._encoder.reset()
-        self._call("wal_open", path, fsync_interval)
+        self._call("wal_open", (path,), {"fsync_interval": fsync_interval})
 
     def wal_log(self, seq: int, epoch: int, entries) -> int:
         """Stamp the batch being drained as logged: the worker appends
@@ -717,9 +558,6 @@ class ShardClient:
         self._encoder.seq = seq
         self._encoder.epoch = epoch
         return 0
-
-    def wal_sync(self) -> None:
-        self._call("wal_sync")
 
     def wal_close(self) -> None:
         if not self._closed:
@@ -731,9 +569,6 @@ class ShardClient:
                 "crash-point injection is not supported on the process "
                 "backend"
             )
-
-    def snapshot_to(self, path: str) -> dict:
-        return self._call("snapshot_to", path)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -782,6 +617,20 @@ class ShardClient:
             self.process.join(1.0)
         if error is not None:
             raise error
+
+
+def _forwarder(name: str) -> Callable:
+    """A ShardClient method that runs ``name`` on the worker's shard as
+    one synchronous call."""
+    @functools.wraps(getattr(EngineShard, name))
+    def forward(self, *args, **kwargs):
+        return self._call(name, args, kwargs)
+    return forward
+
+
+for _name in REMOTE_CALLS:
+    setattr(ShardClient, _name, _forwarder(_name))
+del _name
 
 
 __all__ = ["HANDSHAKE_TIMEOUT", "SHUTDOWN_GRACE", "ShardClient",

@@ -211,7 +211,6 @@ def new_cluster(simulator, homes=(HOME,), **kwargs):
     trace (the strictest equivalence surface)."""
     kwargs.setdefault("shard_count", 1)
     kwargs.setdefault("coalesce", False)
-    kwargs.setdefault("batch", True)
     server = ClusterServer(simulator, **kwargs)
     for home in homes:
         for rule in build_rules(home):

@@ -1,5 +1,5 @@
 """Unit tests for the batched async ingest bus: FIFO order, batch
-scheduling, coalescing safety, event barriers and the per-event mode."""
+scheduling, coalescing safety, event barriers and shutdown."""
 
 import pytest
 
@@ -195,30 +195,15 @@ class TestCoalescing:
         assert bus.pending(0) == 2
 
 
-class TestPerEventMode:
-    def test_each_publish_gets_its_own_callback(self):
-        simulator = Simulator()
-        shard = EngineShard(0, simulator)
-        bus = IngestBus(simulator, [shard], ShardRouter(1), batch=False)
-        shard.register_rule(hot_rule())
-        pending_before = simulator.pending_events()
-        bus.publish(TEMP, 27.0)
-        bus.publish(TEMP, 31.0)
-        assert simulator.pending_events() == pending_before + 2
-        simulator.run_until(simulator.now)
-        assert bus.stats.applied == 2
-        assert shard.engine.rule_truth("hot") is True
-
-
 class TestMirrorRoutes:
     """Cross-shard variable mirroring at the bus level: fan-out order,
     coalescing exclusion, and route pruning."""
 
-    def two_shard_rig(self, **kwargs):
+    def two_shard_rig(self):
         simulator = Simulator()
         shards = [EngineShard(i, simulator) for i in range(2)]
         router = ShardRouter(2)
-        bus = IngestBus(simulator, shards, router, **kwargs)
+        bus = IngestBus(simulator, shards, router)
         owner = router.shard_of(TEMP)
         return simulator, shards, bus, owner
 
@@ -289,15 +274,6 @@ class TestMirrorRoutes:
         assert shards[other].engine.world.value_of(TEMP) == 30.0
         assert shards[owner].engine.world.value_of(TEMP) == 40.0
 
-    def test_per_event_mode_fans_out_at_apply_time(self):
-        simulator, shards, bus, owner = self.two_shard_rig(batch=False)
-        other = 1 - owner
-        bus.add_mirror_route(TEMP, other)
-        bus.publish(TEMP, 30.0)
-        simulator.run_until(simulator.now)
-        assert shards[other].engine.world.value_of(TEMP) == 30.0
-        assert bus.stats.mirrored == 1
-
 
 class TestEventsAndShutdown:
     def test_broadcast_event_reaches_every_shard(self):
@@ -324,15 +300,22 @@ class TestEventsAndShutdown:
         assert bus.stats.applied == 0
         assert shard.engine.rule_truth("hot") is False
 
-    def test_shutdown_drops_per_event_dispatches_too(self):
-        """batch=False applies live on the simulator, not in the queues;
-        shutdown must intercept those as well."""
+    def test_shutdown_mid_drain_stops_the_rest_of_the_batch(self):
+        """A dispatch callback may shut the bus down while a drain is
+        applying; the closed flag keeps the rest of that batch out."""
         simulator = Simulator()
-        shard = EngineShard(0, simulator)
-        bus = IngestBus(simulator, [shard], ShardRouter(1), batch=False)
+        bus = None
+
+        def dispatch(spec):
+            bus.shutdown()
+
+        shard = EngineShard(0, simulator, dispatch=dispatch)
+        bus = IngestBus(simulator, [shard], ShardRouter(1))
         shard.register_rule(hot_rule())
-        bus.publish(TEMP, 30.0)
-        bus.shutdown()
-        simulator.run_until(simulator.now)
-        assert bus.stats.applied == 0
-        assert shard.engine.rule_truth("hot") is False
+        bus.publish(TEMP, 30.0)    # fires "hot": its dispatch shuts down
+        bus.publish_event("alarm", None)
+        bus.publish(DOOR, "locked")
+        bus.flush()
+        assert bus.stats.applied == 1
+        assert bus.applied_counts == [1]
+        assert shard.engine.world.value_of(DOOR) is None

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.cluster import ClusterServer, DurabilityPlane, restore_cluster
+from repro.cluster import DurabilityPlane, restore_cluster
 from repro.cluster.durability import (
     CRASH_MANIFEST_COMMIT,
     CRASH_SNAPSHOT_WRITE,
@@ -94,16 +94,20 @@ def test_round_trip_restores_runtime_exactly(tmp_path):
 
 
 def test_manifest_with_retired_engine_flags_still_restores(tmp_path):
-    """Manifests written before the evaluation-backend flags were
-    retired still carry ``shared``/``wheel``/``columnar`` in their
-    config; restore ignores them and serves the one fast path."""
+    """Manifests written before the evaluation-backend flags and the
+    unused cluster knobs were retired still carry ``shared``/``wheel``/
+    ``columnar`` and ``batch``/``drain_delay``/``prefer_intervals``/
+    ``adaptive_ticks`` in their config; restore ignores them and serves
+    the one fast path."""
     ops = script(1)
     expected = expected_outcome(ops)
     server = durable_cluster(tmp_path)
     assert drive_durable(server, ops) is None
     abandon(server)
     manifest = manifest_of(tmp_path)
-    manifest["config"].update(shared=False, wheel=False, columnar=False)
+    manifest["config"].update(
+        shared=False, wheel=False, columnar=False, batch=True,
+        drain_delay=0.0, prefer_intervals=True, adaptive_ticks=False)
     (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
     restored, report = restore(tmp_path)
     assert report.ok()
@@ -363,9 +367,3 @@ def test_missing_rule_definitions_are_reported(tmp_path):
     assert restored.rule_state(f"{HOME}-heat") is not None
     restored.shutdown()
 
-
-def test_durability_requires_batched_bus(tmp_path):
-    server = ClusterServer(Simulator(), shard_count=1, batch=False)
-    with pytest.raises(ValueError, match="batch"):
-        server.attach_durability(DurabilityPlane(str(tmp_path)))
-    server.shutdown()

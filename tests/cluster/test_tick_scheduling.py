@@ -1,8 +1,8 @@
-"""Wheel-aware tick scheduling (PR-5 satellite): a shard with the time
-wheel on sleeps until the next armed window boundary instead of waking
-every period — and stays trace-identical to a fixed-cadence shard,
-because adaptive wakes land exactly on the fixed cadence grid and every
-skipped tick would have been a no-op.
+"""Wheel-aware tick scheduling: a fast-path shard sleeps until the next
+armed window boundary instead of waking every period — and stays
+trace-identical to the oracle shard's fixed cadence, because adaptive
+wakes land exactly on the fixed cadence grid and every skipped tick
+would have been a no-op.
 
 The fixed cadence must survive whenever a tick can do work without a
 boundary crossing: tick-stateful duration-over-window plans, DENIED
@@ -58,16 +58,18 @@ def window_rule(name="evening", start=17, end=21, device=f"{HOME}/lamp"):
     )
 
 
-def make_shard(adaptive, **kwargs):
+def make_shard(incremental=True):
+    """A fast-path shard (adaptive ticks) or, with ``incremental=False``,
+    an oracle shard (fixed cadence)."""
     simulator = Simulator()
-    shard = EngineShard(0, simulator, adaptive_ticks=adaptive,
-                        clock_tick_period=PERIOD, **kwargs)
+    shard = EngineShard(0, simulator, incremental=incremental,
+                        clock_tick_period=PERIOD)
     return simulator, shard
 
 
 class TestSleeping:
     def test_no_clock_rules_means_no_ticks(self):
-        simulator, shard = make_shard(adaptive=True)
+        simulator, shard = make_shard()
         shard.register_rule(Rule(name="hot", owner="Tom",
                                  condition=num(TEMP, Relation.GT, 26.0),
                                  action=act(f"{HOME}/aircon")))
@@ -76,7 +78,7 @@ class TestSleeping:
         shard.shutdown()
 
     def test_sleeps_to_window_boundary_on_the_grid(self):
-        simulator, shard = make_shard(adaptive=True)
+        simulator, shard = make_shard()
         shard.register_rule(window_rule())
         simulator.run_until(hhmm(16, 59))
         assert shard.ticks == 0  # hours before the window: no wakes
@@ -87,24 +89,19 @@ class TestSleeping:
         shard.shutdown()
 
     def test_fixed_cadence_fallback_ticks_every_period(self):
-        simulator, shard = make_shard(adaptive=False)
+        """The oracle has no wheel to sleep on, so it ticks every
+        period."""
+        simulator, shard = make_shard(incremental=False)
         shard.register_rule(window_rule())
         simulator.run_until(hhmm(2))
         assert shard.ticks == int(hhmm(2) / PERIOD)
-        shard.shutdown()
-
-    def test_adaptive_ticks_disabled_without_the_wheel(self):
-        simulator, shard = make_shard(adaptive=True, incremental=False)
-        assert shard.adaptive_ticks is False
-        shard.register_rule(window_rule())
-        simulator.run_until(hhmm(1))
-        assert shard.ticks == int(hhmm(1) / PERIOD)
+        assert shard.tick_sleeps == 0
         shard.shutdown()
 
     def test_off_grid_boundary_observed_at_next_grid_tick(self):
         """A 09:10:30 boundary lands mid-minute; both schedules must
         observe it at the 09:11:00 tick."""
-        simulator, shard = make_shard(adaptive=True)
+        simulator, shard = make_shard()
         shard.register_rule(Rule(
             name="offgrid", owner="Tom",
             condition=TimeWindowAtom(hhmm(9, 10, 30), hhmm(10, 0)),
@@ -121,7 +118,7 @@ class TestSleeping:
 
 class TestDemandGrowth:
     def test_registration_mid_sleep_pulls_the_wake_in(self):
-        simulator, shard = make_shard(adaptive=True)
+        simulator, shard = make_shard()
         shard.register_rule(window_rule("late", start=20, end=23))
         simulator.run_until(hhmm(10))
         assert shard.ticks == 0
@@ -137,7 +134,7 @@ class TestDemandGrowth:
     def test_denied_clock_watcher_restores_every_tick_retry(self):
         """A DENIED windowed rule retries arbitration each tick; the
         adaptive schedule must keep the fixed cadence while it stands."""
-        simulator, shard = make_shard(adaptive=True)
+        simulator, shard = make_shard()
         shard.register_rule(Rule(
             name="tom-tv", owner="Tom",
             condition=TimeWindowAtom(0.0, hhmm(23, 59)),
@@ -158,7 +155,7 @@ class TestDemandGrowth:
         shard.shutdown()
 
     def test_duration_over_window_keeps_fixed_cadence(self):
-        simulator, shard = make_shard(adaptive=True)
+        simulator, shard = make_shard()
         shard.register_rule(Rule(
             name="linger", owner="Tom",
             condition=DurationAtom(
@@ -175,12 +172,13 @@ class TestDemandGrowth:
 class TestTraceEquivalence:
     @pytest.mark.parametrize("seed", (3, 11))
     def test_adaptive_and_fixed_shards_trace_identically(self, seed):
-        """Twin shards (adaptive vs fixed cadence) fed one scripted
-        stream — window edges, contention, churn, long idle gaps — must
-        produce identical traces at identical times."""
+        """Twin shards (fast path with adaptive ticks vs the oracle's
+        fixed cadence) fed one scripted stream — window edges,
+        contention, churn, long idle gaps — must produce identical
+        traces at identical times."""
         import random
         rng = random.Random(seed)
-        twins = [make_shard(adaptive=True), make_shard(adaptive=False)]
+        twins = [make_shard(), make_shard(incremental=False)]
 
         def both(operation):
             for simulator, shard in twins:
@@ -235,7 +233,7 @@ class TestTraceEquivalence:
         both(lambda s, sh: sh.shutdown())
 
     def test_shutdown_cancels_the_adaptive_wake(self):
-        simulator, shard = make_shard(adaptive=True)
+        simulator, shard = make_shard()
         shard.register_rule(window_rule())
         shard.shutdown()
         simulator.run()  # nothing left scheduled

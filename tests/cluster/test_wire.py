@@ -302,10 +302,15 @@ def test_key_table_resync_after_reconnect():
                   max_size=4),
 )
 def test_call_result_roundtrip(req_id, method, t, args):
-    _, payload = roundtrip_frame(wire.encode_call(req_id, method, t, args))
-    assert wire.decode_call(payload) == (req_id, method, t, list(args))
-    _, payload = roundtrip_frame(wire.encode_result(req_id, args))
-    assert wire.decode_result(payload) == (req_id, list(args))
+    frame_type, payload = roundtrip_frame(
+        wire.encode_call(req_id, method, t, tuple(args), {"validate": False}))
+    assert frame_type == wire.CALL
+    assert wire.decode_pickled(payload) == (
+        req_id, method, t, tuple(args), {"validate": False})
+    frame_type, payload = roundtrip_frame(
+        wire.encode_result(req_id, frozenset(args), 7))
+    assert frame_type == wire.RESULT
+    assert wire.decode_pickled(payload) == (req_id, frozenset(args), 7)
 
 
 def test_error_frame_carries_typed_exception():

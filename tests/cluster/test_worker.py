@@ -3,21 +3,27 @@ failures, and child-process hygiene.
 
 The equivalence of engine *semantics* across backends is covered by
 ``test_process_equivalence.py``; this module exercises the machinery
-around it — handshake, proxy surface parity, action forwarding, typed
-crash errors, idempotent shutdown, and the no-leaked-children
-guarantee after both clean shutdown and a SIGKILL'd worker.
+around it — handshake, the declared call surface both sides derive
+from, action forwarding, typed crash errors, idempotent shutdown, and
+the no-leaked-children guarantee after both clean shutdown and a
+SIGKILL'd worker.
 
 Everything here carries ``hard_timeout``: a wedged IPC loop should
 fail the test, not hang the suite.
 """
 
+import ast
+import inspect
 import multiprocessing
 
 import pytest
 
+from repro.cluster import worker
 from repro.cluster.server import ClusterServer
+from repro.cluster.shard import REMOTE_CALLS, EngineShard
 from repro.cluster.worker import ShardClient
 from repro.errors import (
+    DuplicateRuleError,
     RecoveryError,
     UnknownRuleError,
     WorkerCrashed,
@@ -161,6 +167,66 @@ def test_unpicklable_config_is_a_typed_worker_error():
         ShardClient(0, simulator,
                     config={"telemetry": False, "bad": lambda: None})
     assert no_stray_children()
+
+
+# -- the declared surface ---------------------------------------------------------
+
+
+def test_every_public_shard_method_is_reachable_on_the_client():
+    worker_only = {"wal_append", "snapshot_state"}
+    public = {
+        name for name, value in vars(EngineShard).items()
+        if not name.startswith("_") and inspect.isfunction(value)
+    }
+    assert worker_only <= public
+    assert not [name for name in sorted(public - worker_only)
+                if not callable(getattr(ShardClient, name, None))]
+    assert not [name for name in worker_only if hasattr(ShardClient, name)]
+
+
+def test_declared_calls_are_forwarders_with_the_shard_signature():
+    tree = ast.parse(inspect.getsource(worker))
+    (client_class,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ShardClient"]
+    spelled_out = {
+        node.name for node in client_class.body
+        if isinstance(node, ast.FunctionDef)}
+    assert not spelled_out & set(REMOTE_CALLS)
+    for name in REMOTE_CALLS:
+        forwarder = ShardClient.__dict__[name]
+        method = EngineShard.__dict__[name]
+        assert forwarder.__wrapped__ is method
+        assert inspect.signature(forwarder) == inspect.signature(method)
+        assert forwarder.__doc__ == method.__doc__
+
+
+@pytest.mark.parametrize("method", ("shutdown", "wal_append", "_arm_clock"))
+def test_undeclared_call_is_refused_typed(client, method):
+    with pytest.raises(WorkerError, match="unknown shard method"):
+        client._call(method)
+    # The refusal is an ordinary reply: the stream stays in step.
+    assert client.rule_count() == 0
+    assert client.process.is_alive()
+
+
+def test_client_epoch_follows_the_worker_shard(client, tmp_path):
+    """Every RESULT carries the worker shard's epoch."""
+    def worker_epoch():
+        return client.snapshot_to(str(tmp_path / "snap.json"))["epoch"]
+
+    rule = build_rules(HOME)[0]
+    client.register_rule(rule)
+    seen = client.epoch
+    assert seen == worker_epoch() == 1
+    client.remove_rule(rule.name)
+    seen = client.epoch
+    assert seen == worker_epoch() == 2
+    client.register_rule(rule)
+    with pytest.raises(DuplicateRuleError):
+        client.register_rule(rule)
+    seen = client.epoch
+    assert seen == worker_epoch() == 3
 
 
 # -- crash handling ---------------------------------------------------------------
