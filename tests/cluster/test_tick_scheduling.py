@@ -98,6 +98,18 @@ class TestSleeping:
         assert shard.tick_sleeps == 0
         shard.shutdown()
 
+    def test_adaptive_ticks_disabled_without_the_wheel(self):
+        """Without a time wheel the shard installs no clock-demand hook,
+        so it cannot sleep: the hours before the window are ticked one
+        period at a time."""
+        simulator, shard = make_shard(incremental=False)
+        assert shard.engine.on_clock_demand_changed is None
+        shard.register_rule(window_rule())
+        simulator.run_until(hhmm(1))
+        assert shard.ticks == int(hhmm(1) / PERIOD)
+        assert shard.tick_sleeps == 0
+        shard.shutdown()
+
     def test_off_grid_boundary_observed_at_next_grid_tick(self):
         """A 09:10:30 boundary lands mid-minute; both schedules must
         observe it at the 09:11:00 tick."""
