@@ -36,7 +36,6 @@ from repro.cluster.shard import EngineShard
 from repro.core.action import ActionSpec
 from repro.core.conflict import ConflictReport
 from repro.core.engine import DEFAULT_MAX_TRACE, PromptPolicy, RuleState, TraceEntry
-from repro.core.plan import compile_condition
 from repro.core.priority import PriorityOrder
 from repro.core.rule import Rule
 from repro.core.server import ConflictPolicy, coerce_reading
@@ -211,14 +210,13 @@ class ClusterServer:
         """The two-phase placement a rule would get: its home key plus
         the foreign variables to mirror into the home shard.
 
-        The footprint comes from the compiled plan — the same artifact
-        the shard's database and engine index — plus the until
-        variables and action devices; compilation here is cheap because
-        the condition's dnf/key walks are memoized.  Raises
+        The footprint is the condition's memoized variable set — the
+        set its compiled plan keeps, without compiling here (the
+        shard's database compiles once, at registration) — plus the
+        until variables and action devices.  Raises
         :class:`~repro.errors.RuleError` when the *anchor* (actions +
         until) spans homes — only condition variables may."""
-        plan = compile_condition(rule.condition)
-        variables = set(plan.referenced_variables())
+        variables = set(rule.condition.referenced_variables())
         until_variables: frozenset[str] = frozenset()
         if rule.until is not None:
             until_variables = frozenset(rule.until.referenced_variables())

@@ -14,9 +14,14 @@ Frame types split by payload codec:
   record body: a worker CRC-frames and appends the payload it
   received, so a batch is encoded once, in the parent, and never
   pickled.  Decoding from disk is therefore safe.
+* **Action references** (``ACTION``) — a forwarded action is a
+  ``u32`` id into a per-connection action table.  The first frame
+  naming an action also carries its pickled ``ActionSpec`` (its
+  definition), later frames send the id alone, and past
+  :data:`MAX_ACTIONS` definitions a frame carries its spec inline (see
+  :class:`ActionEncoder`).
 * **Pickled payloads** — everything else: the handshake, calls and
-  their results and errors, and the ``ActionSpec`` of each forwarded
-  action.
+  their results and errors.
 
 Pickled frames are parent↔worker within one trust domain — the
 connection is a private ``socketpair`` inherited at fork, never a
@@ -36,8 +41,8 @@ order) before the record is applied — see
 :class:`repro.cluster.worker.WorkerHost` for the handshake.
 
 Malformed input — bad length prefix, oversized frame, unknown type,
-truncated stream, undecodable payload, or a key id the stream never
-defined — raises :class:`repro.errors.WireError`.
+truncated stream, undecodable payload, or a key, value or action id the
+stream never defined — raises :class:`repro.errors.WireError`.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ BATCH = 3        # parent → worker, one-way: a batch record
 CALL = 5         # parent → worker: pickled (req_id, method, t, args, kwargs)
 RESULT = 7       # worker → parent: pickled (req_id, value, epoch)
 ERROR = 9        # worker → parent: pickled (req_id, exception, traceback_text)
-ACTION = 10      # worker → parent, ahead of a reply: pickled ActionSpec
+ACTION = 10      # worker → parent, ahead of a reply: u32 action id [+ pickled ActionSpec]
 BYE = 12         # parent → worker: empty; worker closes WAL and exits
 
 FRAME_NAMES = {
@@ -195,6 +200,80 @@ def encode_error(req_id: int, exception: BaseException, tb_text: str) -> bytes:
                                f"{exception!r}"), tb_text)
         )
     return encode_frame(ERROR, payload)
+
+
+# -- action references ---------------------------------------------------------
+
+#: Actions an :class:`ActionEncoder` defines per connection; past the
+#: cap, an ACTION frame carries its spec inline under :data:`INLINE_ACTION`.
+MAX_ACTIONS = 1 << 14
+#: The id of an ACTION frame whose spec is inline and not tabled.
+INLINE_ACTION = 0xFFFFFFFF
+
+_ACTION_ID = struct.Struct("<I")
+_ACTION_REF = struct.Struct("<IBI")   # a whole frame: header + action id
+
+
+class ActionEncoder:
+    """The worker's side of the action table: one ACTION frame per
+    dispatched ``ActionSpec``.
+
+    A spec is tabled by identity on its first dispatch — its frame
+    carries the new id and the pickled spec — and every later dispatch
+    of the same object is a 9-byte frame holding the id.  The encoder
+    keeps each tabled spec alive, so an ``id()`` is never reused while
+    the table holds it, and no dataclass ``__hash__``/``__eq__`` runs
+    per dispatch.  Ids are assigned densely from 0; after
+    :data:`MAX_ACTIONS` definitions new specs travel inline."""
+
+    def __init__(self) -> None:
+        self._ids: dict[int, int] = {}   # id(spec) -> action id
+        self._specs: list = []           # action id -> spec
+
+    def encode(self, spec: Any) -> bytes:
+        action_id = self._ids.get(id(spec))
+        if action_id is not None:
+            return _ACTION_REF.pack(_ACTION_ID.size, ACTION, action_id)
+        if len(self._specs) < MAX_ACTIONS:
+            action_id = self._ids[id(spec)] = len(self._specs)
+            self._specs.append(spec)
+        else:
+            action_id = INLINE_ACTION
+        return encode_frame(
+            ACTION, _ACTION_ID.pack(action_id) + encode_pickled(spec))
+
+
+class ActionDecoder:
+    """The parent's side of the action table: definitions arrive in id
+    order, like the batch record's key table, and an id resolves by
+    index."""
+
+    def __init__(self) -> None:
+        self._specs: list = []
+
+    def decode(self, payload: bytes) -> Any:
+        """The ``ActionSpec`` one ACTION payload names; an id before its
+        definition, or a definition out of order, raises
+        :class:`WireError`."""
+        try:
+            (action_id,) = _ACTION_ID.unpack_from(payload)
+        except struct.error as exc:
+            raise WireError(f"malformed ACTION frame: {exc}") from exc
+        specs = self._specs
+        if len(payload) == _ACTION_ID.size:
+            if action_id < len(specs):
+                return specs[action_id]
+            raise WireError(
+                f"ACTION references action id {action_id} this stream "
+                "never defined")
+        spec = decode_pickled(payload[_ACTION_ID.size:])
+        if action_id != INLINE_ACTION:
+            if action_id != len(specs):
+                raise WireError(
+                    f"action-table definition {action_id} out of order "
+                    f"(expected {len(specs)}); stream is desynchronized")
+            specs.append(spec)
+        return spec
 
 
 # -- batch records -------------------------------------------------------------

@@ -49,10 +49,15 @@ from one declaration, :data:`~repro.cluster.shard.REMOTE_CALLS`:
     leaves the parent and parallelizes across cores with the drains.
 
 Actions ride the reply: the worker holds the ACTION frames its engine
-dispatches and writes them in one send with its next RESULT or ERROR.  The
-parent reads the whole reply, dispatches its actions, then raises the
-first error (a failing dispatch callback or the call's own), so a
-raising callback never leaves a reply unread on the stream.
+dispatches and writes them in one send with its next RESULT or ERROR.
+An ACTION frame names its ``ActionSpec`` by id in the connection's
+action table (:class:`~repro.cluster.wire.ActionEncoder`): only a
+spec's first dispatch pickles it, so a steady stream of actions is
+pickled, hashed and compared nowhere.  The parent resolves each id as
+it reads the frame (the shutdown drain included), reads the whole
+reply, dispatches its actions, then raises the first error (a failing
+dispatch callback or the call's own), so a raising callback never
+leaves a reply unread on the stream.
 
 Failures stay typed: worker-side exceptions travel back pickled
 (the taxonomy in :mod:`repro.errors` pins the round-trip) and a dead
@@ -155,13 +160,13 @@ class WorkerHost:
         self._logging = False    # a WAL generation is open
         # ACTION frames held for the next reply.
         self._held: list[bytes] = []
+        self._actions = wire.ActionEncoder()
         dispatch = self._forward_action if hello["has_dispatch"] else None
         self.shard = EngineShard(
             shard_id, self.simulator, dispatch=dispatch, **hello["config"])
 
     def _forward_action(self, spec) -> None:
-        self._held.append(
-            wire.encode_frame(wire.ACTION, wire.encode_pickled(spec)))
+        self._held.append(self._actions.encode(spec))
 
     def _reply(self, frame: bytes) -> None:
         """Send the held actions and a reply in one write."""
@@ -298,6 +303,7 @@ class ShardClient:
         #: :meth:`take_logged_bytes` (the worker appends them to its WAL).
         self._logged_bytes = 0
         self._encoder = wire.WireEncoder()
+        self._actions = wire.ActionDecoder()
         self._frames = wire.FrameReader()
         self._pending: deque[tuple[int, bytes]] = deque()
         # The batch being fed (entries and their simulator time), and
@@ -409,14 +415,14 @@ class ShardClient:
                 raise self._crashed("connection closed")
             self._frames.feed(data)
 
-    def _dispatch_all(self, actions: list[bytes]) -> Exception | None:
+    def _dispatch_all(self, actions: list) -> Exception | None:
         """Dispatch forwarded actions in order; returns the first
         exception a dispatch raised (the rest still run)."""
         error = None
         if self.dispatch is not None:
-            for payload in actions:
+            for spec in actions:
                 try:
-                    self.dispatch(wire.decode_pickled(payload))
+                    self.dispatch(spec)
                 except Exception as exc:
                     error = error or exc
         return error
@@ -424,11 +430,13 @@ class ShardClient:
     def _await(self, req_id: int) -> Any:
         """Read the whole reply to ``req_id`` — the actions in front of
         it, then the reply frame — dispatch the actions, then raise the
-        first error: a dispatch's, else the call's own."""
-        actions: list[bytes] = []
+        first error: a dispatch's, else the call's own.  Action ids
+        resolve as their frames are read, so a dispatch callback that
+        calls this shard again reads later definitions after these."""
+        actions: list = []
         frame_type, payload = self._recv_frame()
         while frame_type == wire.ACTION:
-            actions.append(payload)
+            actions.append(self._actions.decode(payload))
             frame_type, payload = self._recv_frame()
         error = self._dispatch_all(actions)
         if frame_type == wire.RESULT:
@@ -589,7 +597,7 @@ class ShardClient:
         already_closed = self._closed
         error = None
         if not already_closed:
-            actions: list[bytes] = []
+            actions: list = []
             try:
                 self._seal()
                 self._outbox.append(wire.encode_frame(wire.BYE))
@@ -599,7 +607,7 @@ class ShardClient:
                 while True:
                     frame_type, payload = self._recv_frame()
                     if frame_type == wire.ACTION:
-                        actions.append(payload)
+                        actions.append(self._actions.decode(payload))
             except (WorkerError, WireError, OSError):
                 pass  # closed, crashed, wedged or gone; escalate below
             error = self._dispatch_all(actions)

@@ -187,13 +187,16 @@ class _VarSnapshot:
 
     The parallel arrays own their storage (copies, never buffer views),
     so index churn can grow the live columns without invalidating a
-    snapshot mid-sweep.
+    snapshot mid-sweep.  Their numpy twins are built on the first
+    window large enough to sweep vectorized (:meth:`np_arrays`): every
+    rule churn rebuilds the snapshots it touches, and most are never
+    swept that way.
     """
 
     __slots__ = ("thresholds", "aids", "coefs", "consts", "bounds",
-                 "codes", "recheck_aids", "np_arrays")
+                 "codes", "recheck_aids", "_np_arrays")
 
-    def __init__(self, index: _VarIndex, use_numpy: bool) -> None:
+    def __init__(self, index: _VarIndex) -> None:
         ordered = sorted(
             (entry[0], aid, entry[1], entry[2], entry[3], entry[4])
             for aid, entry in index.entries.items()
@@ -205,15 +208,21 @@ class _VarSnapshot:
         self.bounds = [row[4] for row in ordered]
         self.codes = [row[5] for row in ordered]
         self.recheck_aids = sorted(index.recheck)
-        self.np_arrays = None
-        if use_numpy and _np is not None:
-            self.np_arrays = (
+        self._np_arrays = None
+
+    def np_arrays(self) -> tuple:
+        """``(aids, coefs, consts, bounds, codes)`` as numpy arrays,
+        built on first use."""
+        arrays = self._np_arrays
+        if arrays is None:
+            arrays = self._np_arrays = (
                 _np.array(self.aids, dtype=_np.int64),
                 _np.array(self.coefs, dtype=_np.float64),
                 _np.array(self.consts, dtype=_np.float64),
                 _np.array(self.bounds, dtype=_np.float64),
                 _np.array(self.codes, dtype=_np.int8),
             )
+        return arrays
 
 
 class ColumnarState:
@@ -555,7 +564,7 @@ class ColumnarState:
             return woken
         snapshot = index.snapshot
         if snapshot is None:
-            snapshot = index.snapshot = _VarSnapshot(index, self.use_numpy)
+            snapshot = index.snapshot = _VarSnapshot(index)
         # Generic shapes re-evaluate through the atom (multi-variable
         # constraints need other values).
         if snapshot.recheck_aids:
@@ -575,7 +584,7 @@ class ColumnarState:
         count = hi_i - lo_i
         if count <= 0:
             return woken
-        if snapshot.np_arrays is not None and count >= self.vector_min:
+        if self.use_numpy and count >= self.vector_min:
             self.stats.vector_sweeps += 1
             self._vector_window(snapshot, lo_i, hi_i, new, woken)
         else:
@@ -606,7 +615,7 @@ class ColumnarState:
 
     def _vector_window(self, snapshot: _VarSnapshot, lo_i: int, hi_i: int,
                        value: float, woken: set[str]) -> None:
-        aids, coefs, consts, bounds, codes = snapshot.np_arrays
+        aids, coefs, consts, bounds, codes = snapshot.np_arrays()
         aids = aids[lo_i:hi_i]
         lhs = coefs[lo_i:hi_i] * value + consts[lo_i:hi_i]
         bounds = bounds[lo_i:hi_i]

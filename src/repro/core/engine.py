@@ -55,6 +55,19 @@ suites compare against: every ingest re-walks the condition tree of
 every rule reading the variable, and every clock tick re-evaluates
 every clock-reading rule.  Both configurations produce identical truth
 values, states, holders and traces.
+
+Decision trace
+--------------
+
+Every decision lands in a capped ring (``max_trace``) as a plain tuple
+``(time, kind, rule, device, detail)``.  A fire/deny/preempt/fallback
+detail keeps its immutable pieces — the granted ``ActionSpec``, the
+winner's name, the priority order's text (orders are mutable, so their
+text is taken at decision time) — and is formatted only when read:
+:attr:`RuleEngine.trace` is a :class:`TraceView` yielding
+:class:`TraceEntry` objects, and :meth:`RuleEngine.runtime_snapshot`
+writes the formatted strings, so a decision costs one tuple on the
+dispatch path and the text is what an eager formatter would have made.
 """
 
 from __future__ import annotations
@@ -63,7 +76,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterable
+from typing import Any, Callable, Collection, Iterable, Iterator
 
 from repro.core.action import ActionSpec, Setting
 from repro.core.columnar import ColumnarState, ColumnarStats
@@ -113,7 +126,7 @@ class TraceEntry:
     """One engine decision, for scenario time-charts and debugging."""
 
     time: float
-    kind: str          # "fire" | "stop" | "preempt" | "deny" | "fallback" | "conflict"
+    kind: str          # "fire" | "stop" | "preempt" | "deny" | "fallback" | "conflict" | "error"
     rule: str
     device: str = ""
     detail: str = ""
@@ -122,6 +135,66 @@ class TraceEntry:
         device = f" [{self.device}]" if self.device else ""
         detail = f" — {self.detail}" if self.detail else ""
         return f"t={self.time:9.1f} {self.kind:<8} {self.rule}{device}{detail}"
+
+
+def _fire_text(spec: ActionSpec, order_text: str | None) -> str:
+    text = spec.describe()
+    return text if order_text is None else f"{text} (order: {order_text})"
+
+
+def _fallback_text(fallback: ActionSpec, device_name: str | None = None,
+                   winner: str | None = None) -> str:
+    if winner is None:
+        return f"preempted; trying {fallback.describe()}"
+    return (f"lost {device_name!r} to {winner!r}; "
+            f"trying {fallback.describe()}")
+
+
+#: How a decision of each structured kind turns its detail pieces into
+#: text.  Arbitration records the pieces (the granted ActionSpec, the
+#: winner's name, the order's text) and the text is built on read.
+_DETAIL_TEXT: dict[str, Callable[..., str]] = {
+    "fire": _fire_text,
+    "deny": "lost to {!r}".format,
+    "preempt": "preempted by {!r}".format,
+    "fallback": _fallback_text,
+}
+
+
+def _entry(record: tuple) -> TraceEntry:
+    """A ring record ``(time, kind, rule, device, detail)`` as the entry
+    it reads as; a tuple detail holds the pieces of a structured kind."""
+    time, kind, rule, device, detail = record
+    if type(detail) is tuple:
+        detail = _DETAIL_TEXT[kind](*detail)
+    return TraceEntry(time, kind, rule, device, detail)
+
+
+class TraceView:
+    """The engine's decision ring, read as :class:`TraceEntry` objects.
+
+    The ring stores each decision as a plain tuple and formats it only
+    when read, so a decision costs one tuple on the dispatch path.
+    Supports ``len``, iteration (oldest first), indexing and
+    ``maxlen`` like the ``deque`` it wraps."""
+
+    __slots__ = ("_ring",)
+
+    def __init__(self, ring: deque) -> None:
+        self._ring = ring
+
+    @property
+    def maxlen(self) -> int | None:
+        return self._ring.maxlen
+
+    def __len__(self) -> int:
+        return len(self._ring)
+
+    def __iter__(self) -> Iterator[TraceEntry]:
+        return map(_entry, self._ring)
+
+    def __getitem__(self, index: int) -> TraceEntry:
+        return _entry(self._ring[index])
 
 
 class WorldState:
@@ -301,7 +374,9 @@ class RuleEngine:
         self.world.on_held_armed = self._arm_held_timer
         if max_trace is not None and max_trace <= 0:
             raise RuleError(f"max_trace must be positive: {max_trace}")
-        self.trace: deque[TraceEntry] = deque(maxlen=max_trace)
+        # Decisions as plain tuples (see TraceView), formatted on read.
+        self._trace_ring: deque[tuple] = deque(maxlen=max_trace)
+        self.trace = TraceView(self._trace_ring)
         self._truth: dict[str, bool] = {}
         self._state: dict[str, RuleState] = {}
         self._holders: dict[str, tuple[str, ActionSpec]] = {}  # udn -> (rule, spec)
@@ -865,10 +940,9 @@ class RuleEngine:
         self._set_state(
             rule.name, RuleState.ACTIVE if is_primary else RuleState.FALLBACK
         )
-        detail = spec.describe()
-        if order is not None:
-            detail += f" (order: {order.describe()})"
-        self._trace("fire", rule.name, spec.device_udn, detail)
+        # A PriorityOrder is mutable: its text is taken now.
+        self._trace("fire", rule.name, udn,
+                    (spec, None if order is None else order.describe()))
         self._dispatch_safely(rule, spec)
 
     def _deny(
@@ -881,11 +955,10 @@ class RuleEngine:
     ) -> list[tuple[Rule, ActionSpec, bool]]:
         if is_primary and rule.fallback is not None:
             self._trace("fallback", rule.name, udn,
-                        f"lost {spec.device_name!r} to {winner.name!r}; "
-                        f"trying {rule.fallback.describe()}")
+                        (rule.fallback, spec.device_name, winner.name))
             return [(rule, rule.fallback, False)]
         self._set_state(rule.name, RuleState.DENIED)
-        self._trace("deny", rule.name, udn, f"lost to {winner.name!r}")
+        self._trace("deny", rule.name, udn, (winner.name,))
         return []
 
     def _preempt(
@@ -896,12 +969,10 @@ class RuleEngine:
         holder_name, holder_spec = self._holders.pop(udn)
         self._unindex_holder(holder_name, udn)
         was_primary = holder_spec == holder_rule.action
-        self._trace("preempt", holder_name, udn,
-                    f"preempted by {winner.name!r}")
+        self._trace("preempt", holder_name, udn, (winner.name,))
         if was_primary and holder_rule.fallback is not None \
                 and self._truth.get(holder_name, False):
-            self._trace("fallback", holder_name, udn,
-                        f"preempted; trying {holder_rule.fallback.describe()}")
+            self._trace("fallback", holder_name, udn, (holder_rule.fallback,))
             return [(holder_rule, holder_rule.fallback, False)]
         self._set_state(holder_name, RuleState.DENIED)
         return []
@@ -1128,9 +1199,8 @@ class RuleEngine:
                     self._watch(self._denied_watch, name)
                 elif state in holding and name in self._has_until:
                     self._watch(self._until_watch, name)
-        self.trace.clear()
-        for time, kind, rule, device, detail in snapshot["trace"]:
-            self.trace.append(TraceEntry(time, kind, rule, device, detail))
+        self._trace_ring.clear()
+        self._trace_ring.extend(map(tuple, snapshot["trace"]))
         wheel_data = snapshot.get("wheel")
         if wheel_data is not None and self._time_wheel is not None:
             self._time_wheel.restore_schedule(
@@ -1164,10 +1234,9 @@ class RuleEngine:
 
         self.simulator.call_at(when, recheck)
 
-    def _trace(self, kind: str, rule: str, device: str = "", detail: str = "") -> None:
-        self.trace.append(
-            TraceEntry(
-                time=self.simulator.now, kind=kind, rule=rule,
-                device=device, detail=detail,
-            )
-        )
+    def _trace(self, kind: str, rule: str, device: str = "",
+               detail: str | tuple = "") -> None:
+        """Record one decision: its text, or the pieces a
+        ``_DETAIL_TEXT`` formatter turns into text on read."""
+        self._trace_ring.append(
+            (self.simulator.now, kind, rule, device, detail))

@@ -24,6 +24,7 @@ engine updates under the canonical naming scheme
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -126,6 +127,10 @@ class RulePipeline:
     access check → consistency → conflict extraction → optional priority
     prompt → database add → engine activation (and the mirror-image
     removal path).
+
+    ``conflict_log`` keeps the most recent conflict reports, capped like
+    the engine's trace ring (``max_trace``), so a server that churns
+    contested rules does not grow without limit.
     """
 
     def __init__(
@@ -145,7 +150,8 @@ class RulePipeline:
         self.consistency = consistency
         self.conflicts = conflicts
         self.conflict_policy = conflict_policy
-        self.conflict_log: list[ConflictReport] = []
+        self.conflict_log: deque[ConflictReport] = deque(
+            maxlen=engine.trace.maxlen)
 
     def register(self, rule: Rule, *, validate: bool = True) -> list[ConflictReport]:
         """Run the full registration pipeline; returns conflicts found.
@@ -315,8 +321,9 @@ class HomeServer:
 
     @property
     def conflict_log(self) -> list[ConflictReport]:
-        """Every conflict report the registration pipeline produced."""
-        return self._pipeline.conflict_log
+        """The conflict reports the registration pipeline produced, the
+        most recent ``max_trace`` of them, oldest first."""
+        return list(self._pipeline.conflict_log)
 
     def add_priority_order(self, order: PriorityOrder) -> PriorityOrder:
         return self.priorities.add_order(order)

@@ -23,9 +23,11 @@ action    one device dispatch (including the access check)
 ========  ==========================================================
 
 A begin/end pair costs two ``perf_counter_ns`` calls, one bisect-based
-histogram observe and one capped-deque append — a few µs, which is what
-keeps the enabled-vs-disabled A10 overhead budget under 3% on the
-columnar ingest workload.
+histogram observe and one capped-deque append of a plain tuple — a few
+µs, which is what keeps the enabled-vs-disabled A10 overhead budget
+under 3% on the columnar ingest workload.  The ring holds
+``(stage, at, ms, home, size)`` tuples; :meth:`SpanRecorder.recent`
+builds the :class:`SpanRecord` objects when someone reads it.
 """
 
 from __future__ import annotations
@@ -70,7 +72,9 @@ class SpanRecorder:
     Per-stage histograms are memoized on first use so steady-state spans
     never touch the registry's name lookup.  ``clock`` supplies the
     simulated time (``Simulator.now``); when absent, spans are stamped
-    with 0.0 — durations are always wall-clock.
+    with 0.0 — durations are always wall-clock.  The ring holds each
+    span as a ``(stage, at, ms, home, size)`` tuple, the field order of
+    :class:`SpanRecord`.
     """
 
     __slots__ = ("registry", "clock", "ring", "_stage_hists")
@@ -84,7 +88,7 @@ class SpanRecorder:
     ) -> None:
         self.registry = registry
         self.clock = clock
-        self.ring: deque[SpanRecord] = deque(maxlen=max_spans)
+        self.ring: deque[tuple] = deque(maxlen=max_spans)
         self._stage_hists: dict[str, object] = {}
 
     def span_begin(
@@ -109,15 +113,13 @@ class SpanRecorder:
             )
             self._stage_hists[stage] = hist
         hist.observe(elapsed_ms)
-        self.ring.append(SpanRecord(
-            stage=stage, at=token[3], ms=elapsed_ms, home=token[1],
-            size=size if size is not None else token[2],
-        ))
+        self.ring.append((stage, token[3], elapsed_ms, token[1],
+                          size if size is not None else token[2]))
         return elapsed_ms
 
     def recent(self) -> list[SpanRecord]:
-        """The ring's contents, oldest first."""
-        return list(self.ring)
+        """The ring's contents as records, oldest first."""
+        return [SpanRecord(*span) for span in self.ring]
 
 
 class Telemetry:

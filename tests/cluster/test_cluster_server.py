@@ -170,6 +170,41 @@ class TestLifecycle:
         simulator.run()  # nothing left: clock ticks and drains cancelled
         assert cluster.rule_truth("home-0001-cool") is False
 
+    def test_validated_registration_compiles_the_condition_once(
+            self, cluster, monkeypatch):
+        """Placement reads the condition's memoized variables; the
+        shard's database is the one place a registration compiles."""
+        from repro.core.plan import CompiledPlan
+
+        compiled = []
+        original = CompiledPlan.__init__
+
+        def counting(self, *args, **kwargs):
+            compiled.append(args[0] if args else kwargs["source_key"])
+            original(self, *args, **kwargs)
+
+        rule = building_rule()
+        monkeypatch.setattr(CompiledPlan, "__init__", counting)
+        cluster.register_rule(rule)
+        assert compiled == [rule.condition.key()]
+
+    def test_shard_conflict_log_keeps_at_most_max_trace(self):
+        """Each contested registration adds a report per rival; a shard
+        keeps only the newest ``max_trace`` of them."""
+        cluster = ClusterServer(Simulator(), shard_count=1, max_trace=3)
+        try:
+            reported = 0
+            for level in range(6):
+                reported += len(cluster.register_rule(cool_rule(
+                    "home-0001", name=f"cool-{level}", level=level)))
+            (shard,) = cluster.shards
+            assert reported == 15
+            log = list(shard.pipeline.conflict_log)
+            assert len(log) == 3
+            assert [report.new_rule for report in log] == ["cool-5"] * 3
+        finally:
+            cluster.shutdown()
+
 
 class TestServing:
     def test_ingest_fires_rules_after_flush(self, cluster):

@@ -5,8 +5,9 @@ batch records are the WAL's record bodies — so these tests lean on
 hypothesis: round-trips over randomized records (mixed value types,
 events, header fields) and call payloads; framing survival under
 arbitrary stream chunking; rejection of truncated frames and records,
-unknown types, oversized lengths and undefined key ids; and key-table
-resync after a reconnect."""
+unknown types, oversized lengths and undefined key ids; key-table
+resync after a reconnect; and the action table's definitions, id-only
+references and inline specs past its cap."""
 
 from __future__ import annotations
 
@@ -340,3 +341,71 @@ def test_value_tagging_roundtrips_frozensets():
     assert tagged == {"set": ["a", "b"]}
     assert wire.decode_value(tagged) == frozenset({"a", "b"})
     assert wire.decode_value(3.5) == 3.5
+
+
+# -- action references ---------------------------------------------------------
+
+def _spec(action_name="Set", device="home-0001/aircon"):
+    from repro.core.action import ActionSpec, Setting
+    return ActionSpec(device_udn=device, device_name="aircon",
+                      service_id="svc", action_name=action_name,
+                      settings=(Setting("level", 1),))
+
+
+def test_action_defined_on_first_use_then_sent_by_id(monkeypatch):
+    encoder, decoder = wire.ActionEncoder(), wire.ActionDecoder()
+    on, off = _spec(), _spec("Off")
+    first = [encoder.encode(on), encoder.encode(off)]
+    for frame in first:
+        frame_type, payload = roundtrip_frame(frame)
+        assert frame_type == wire.ACTION and len(payload) > 4
+    defined = [decoder.decode(roundtrip_frame(f)[1]) for f in first]
+    assert defined == [on, off]
+    # The steady path pickles nothing and never hashes or compares a spec.
+    monkeypatch.setattr(wire, "encode_pickled", None)
+    monkeypatch.setattr(type(on), "__eq__", None)
+    monkeypatch.setattr(type(on), "__hash__", None)
+    again = [encoder.encode(off), encoder.encode(on)]
+    assert again == [struct.pack("<IBI", 4, wire.ACTION, 1),
+                     struct.pack("<IBI", 4, wire.ACTION, 0)]
+    resolved = [decoder.decode(roundtrip_frame(f)[1]) for f in again]
+    assert resolved[0] is defined[1] and resolved[1] is defined[0]
+
+
+def test_equal_specs_are_tabled_by_identity():
+    encoder = wire.ActionEncoder()
+    encoder.encode(_spec())
+    frame = encoder.encode(_spec())     # equal, but another object
+    assert struct.unpack_from("<I", frame, wire.HEADER_SIZE) == (1,)
+    assert len(frame) > wire.HEADER_SIZE + 4
+
+
+def test_action_id_before_its_definition_rejected():
+    decoder = wire.ActionDecoder()
+    with pytest.raises(WireError, match="never defined"):
+        decoder.decode(struct.pack("<I", 0))
+    out_of_order = struct.pack("<I", 1) + wire.encode_pickled(_spec())
+    with pytest.raises(WireError, match="out of order"):
+        decoder.decode(out_of_order)
+    with pytest.raises(WireError, match="malformed ACTION"):
+        decoder.decode(b"\x00\x01")
+
+
+def test_actions_past_the_cap_travel_inline(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_ACTIONS", 2)
+    encoder, decoder = wire.ActionEncoder(), wire.ActionDecoder()
+    tabled = [_spec("A"), _spec("B")]
+    extra = _spec("C")
+    for spec in tabled:
+        decoder.decode(roundtrip_frame(encoder.encode(spec))[1])
+    for _ in range(2):
+        _, payload = roundtrip_frame(encoder.encode(extra))
+        assert struct.unpack_from("<I", payload) == (wire.INLINE_ACTION,)
+        assert decoder.decode(payload) == extra
+    # Inline specs take no table slot: the tabled ids still resolve.
+    for action_id, spec in enumerate(tabled):
+        frame = encoder.encode(spec)
+        assert frame == struct.pack("<IBI", 4, wire.ACTION, action_id)
+        assert decoder.decode(roundtrip_frame(frame)[1]) == spec
+    with pytest.raises(WireError, match="never defined"):
+        decoder.decode(struct.pack("<I", 2))

@@ -4,7 +4,8 @@ failures, and child-process hygiene.
 The equivalence of engine *semantics* across backends is covered by
 ``test_process_equivalence.py``; this module exercises the machinery
 around it — handshake, the declared call surface both sides derive
-from, action forwarding, typed crash errors, idempotent shutdown, and
+from, action forwarding by action-table id (the shutdown drain
+included), typed crash errors, idempotent shutdown, and
 the no-leaked-children guarantee after both clean shutdown and a
 SIGKILL'd worker.
 
@@ -15,10 +16,11 @@ fail the test, not hang the suite.
 import ast
 import inspect
 import multiprocessing
+import struct
 
 import pytest
 
-from repro.cluster import worker
+from repro.cluster import wire, worker
 from repro.cluster.server import ClusterServer
 from repro.cluster.shard import REMOTE_CALLS, EngineShard
 from repro.cluster.worker import ShardClient
@@ -152,6 +154,85 @@ def test_action_dispatch_forwards_to_parent():
     finally:
         shard.shutdown()
     assert no_stray_children()
+
+
+class _RecordingSocket:
+    """A client socket that keeps every byte it receives."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.received = bytearray()
+
+    def recv(self, size):
+        data = self._sock.recv(size)
+        self.received.extend(data)
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _action_payloads(data):
+    reader = wire.FrameReader()
+    reader.feed(bytes(data))
+    return [payload for frame_type, payload in reader.frames()
+            if frame_type == wire.ACTION]
+
+
+def test_action_frames_define_a_spec_once_then_send_its_id():
+    """The cool rule fires and stops twice: the first Set and the first
+    Off carry their pickled specs, the repeats carry only their ids, and
+    the parent dispatches the very objects it decoded first."""
+    simulator = Simulator()
+    fired = []
+    shard = ShardClient(0, simulator, config=dict(CONFIG),
+                        dispatch=fired.append)
+    try:
+        for rule in build_rules(HOME):
+            shard.register_rule(rule)
+        recording = shard._sock = _RecordingSocket(shard._sock)
+        for step, value in enumerate((30.0, 22.0, 30.0, 22.0)):
+            simulator.run_until(step + 0.5)
+            shard.ingest(temp(HOME), value)
+            shard.barrier()
+    finally:
+        shard.shutdown()
+    assert no_stray_children()
+    payloads = _action_payloads(recording.received)
+    assert [spec.action_name for spec in fired] == ["Set", "Off"] * 2
+    assert len(payloads) == len(fired)
+    ids = [struct.unpack_from("<I", payload)[0] for payload in payloads]
+    assert ids[2:] == ids[:2] and ids[0] != ids[1]
+    assert [len(payload) > 4 for payload in payloads] == \
+        [True, True, False, False]
+    assert fired[2] is fired[0] and fired[3] is fired[1]
+
+
+def test_actions_trailing_a_shutdown_resolve_their_ids():
+    """A record sent with BYE fires an action the worker defined in an
+    earlier reply; the shutdown drain resolves its id and dispatches
+    it."""
+    simulator = Simulator()
+    fired = []
+    shard = ShardClient(0, simulator, config=dict(CONFIG),
+                        dispatch=fired.append)
+    try:
+        for rule in build_rules(HOME):
+            shard.register_rule(rule)
+        for step, value in enumerate((30.0, 22.0)):
+            simulator.run_until(step + 0.5)
+            shard.ingest(temp(HOME), value)
+            shard.barrier()
+        recording = shard._sock = _RecordingSocket(shard._sock)
+        simulator.run_until(2.5)
+        shard.ingest(temp(HOME), 30.0)
+    finally:
+        shard.shutdown()
+    assert no_stray_children()
+    assert [spec.action_name for spec in fired] == ["Set", "Off", "Set"]
+    assert fired[2] is fired[0]
+    (trailing,) = _action_payloads(recording.received)
+    assert len(trailing) == 4
 
 
 def test_wal_fault_injection_rejected_on_process_backend(client):

@@ -2,7 +2,7 @@
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.noop import NOOP_TELEMETRY
-from repro.obs.trace import STAGES, SpanRecorder, Telemetry
+from repro.obs.trace import STAGES, SpanRecord, SpanRecorder, Telemetry
 
 
 def test_span_end_observes_stage_histogram_and_ring():
@@ -71,3 +71,19 @@ def test_noop_module_imports_nothing():
     body = [line for line in source.splitlines()
             if line.startswith(("import ", "from "))]
     assert body == ["from __future__ import annotations"]
+
+
+def test_recent_builds_records_in_ring_order():
+    times = iter((5.0, 6.0, 7.0))
+    recorder = SpanRecorder(MetricsRegistry(), clock=lambda: next(times))
+    recorder.span_end(recorder.span_begin("batch", home="h1"), size=4)
+    recorder.span_end(recorder.span_begin("action"))
+    recorder.span_end(recorder.span_begin("wheel", size=2))
+    records = recorder.recent()
+    assert all(isinstance(record, SpanRecord) for record in records)
+    assert [(r.stage, r.at, r.home, r.size) for r in records] == [
+        ("batch", 5.0, "h1", 4), ("action", 6.0, None, None),
+        ("wheel", 7.0, None, 2)]
+    assert all(record.ms >= 0.0 for record in records)
+    # Each read builds fresh records from the ring's tuples.
+    assert recorder.recent() == records
