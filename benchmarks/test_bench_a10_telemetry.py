@@ -64,7 +64,8 @@ SHARDS = 4
 FLEET = (3, 40) if BENCH_SMOKE else (10, 1_000)
 FLEET_EVENTS = 400 if BENCH_SMOKE else 4_000
 FLEET_RULES = FLEET[0] * FLEET[1]
-# The dispatching stream replayed each ABBA round (~60 ms at full size).
+# The dispatching stream replayed each ABBA round (~60 ms a round at full
+# size on a 2-vCPU host).
 DISPATCH_EVENTS = 128 if BENCH_SMOKE else 512
 
 
