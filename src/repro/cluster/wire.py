@@ -234,13 +234,15 @@ class ActionEncoder:
         action_id = self._ids.get(id(spec))
         if action_id is not None:
             return _ACTION_REF.pack(_ACTION_ID.size, ACTION, action_id)
+        # Pickle before tabling: a spec that fails to pickle must not
+        # take an id the parent never sees defined.
+        definition = encode_pickled(spec)
         if len(self._specs) < MAX_ACTIONS:
             action_id = self._ids[id(spec)] = len(self._specs)
             self._specs.append(spec)
         else:
             action_id = INLINE_ACTION
-        return encode_frame(
-            ACTION, _ACTION_ID.pack(action_id) + encode_pickled(spec))
+        return encode_frame(ACTION, _ACTION_ID.pack(action_id) + definition)
 
 
 class ActionDecoder:

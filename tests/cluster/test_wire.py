@@ -12,6 +12,7 @@ references and inline specs past its cap."""
 from __future__ import annotations
 
 import json
+import pickle
 import struct
 
 import pytest
@@ -378,6 +379,17 @@ def test_equal_specs_are_tabled_by_identity():
     frame = encoder.encode(_spec())     # equal, but another object
     assert struct.unpack_from("<I", frame, wire.HEADER_SIZE) == (1,)
     assert len(frame) > wire.HEADER_SIZE + 4
+
+
+def test_unpicklable_spec_takes_no_action_id():
+    from repro.core.action import Setting
+    encoder, decoder = wire.ActionEncoder(), wire.ActionDecoder()
+    hostile = _spec()
+    object.__setattr__(hostile, "settings", (Setting("level", lambda: 1),))
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        encoder.encode(hostile)
+    spec = _spec("Off")
+    assert decoder.decode(roundtrip_frame(encoder.encode(spec))[1]) == spec
 
 
 def test_action_id_before_its_definition_rejected():
