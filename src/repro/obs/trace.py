@@ -25,9 +25,7 @@ action    one device dispatch (including the access check)
 A begin/end pair costs two ``perf_counter_ns`` calls, one bisect-based
 histogram observe and one capped-deque append of a plain tuple — a few
 µs, which is what keeps the enabled-vs-disabled A10 overhead budget
-under 3% on the columnar ingest workload.  The ring holds
-``(stage, at, ms, home, size)`` tuples; :meth:`SpanRecorder.recent`
-builds the :class:`SpanRecord` objects when someone reads it.
+under 3% on the columnar ingest workload.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ class SpanRecorder:
     simulated time (``Simulator.now``); when absent, spans are stamped
     with 0.0 — durations are always wall-clock.  The ring holds each
     span as a ``(stage, at, ms, home, size)`` tuple, the field order of
-    :class:`SpanRecord`.
+    :class:`SpanRecord`; :meth:`recent` builds the records when read.
     """
 
     __slots__ = ("registry", "clock", "ring", "_stage_hists")
