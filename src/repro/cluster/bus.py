@@ -33,7 +33,8 @@ Write coalescing
     *coalesce-safe* per its owning shard
     (:meth:`~repro.cluster.shard.EngineShard.coalesce_safe`): no
     until-postconditions, no duration atoms, no contested devices among
-    the readers.  Unsafe variables are applied write-for-write, so
+    the readers, and no priority-order context reading it.  Unsafe
+    variables are applied write-for-write, so
     history-dependent semantics never observe a skipped value.  An
     instantaneous event breaks any run, so writes never merge across
     it.
@@ -192,7 +193,8 @@ class IngestBus:
         self._spare_queues: list[list[_Write | _Event] | None] = \
             [None] * count
         self._run_scratch: list[tuple[str, Any]] = []
-        # variable → coalesce-safety, valid for the recorded shard epoch.
+        # variable → coalesce-safety, valid for the recorded shard epoch
+        # (which rule and priority-order churn both move).
         self._safety_epochs: list[int] = [-1] * count
         self._safety: list[dict[str, bool]] = [{} for _ in range(count)]
         # variable → sorted subscriber shard indices (cross-shard rules

@@ -112,9 +112,9 @@ class DurabilityPlane:
 
     Bind with :meth:`ClusterServer.attach_durability` (which takes the
     initial checkpoint); thereafter the bus logs every drained batch
-    through :meth:`log_batch` and rule churn triggers an eager
-    re-checkpoint from the facade, keeping snapshot and WAL epochs
-    aligned.  ``faults`` arms crash-point injection across every
+    through :meth:`log_batch` and rule or priority-order churn triggers
+    an eager re-checkpoint from the facade, keeping snapshot and WAL
+    epochs aligned.  ``faults`` arms crash-point injection across every
     durability code path (see :data:`ALL_CRASH_SITES`).
     """
 

@@ -351,10 +351,27 @@ class ClusterServer:
     def add_priority_order(self, order: PriorityOrder) -> PriorityOrder:
         """Route a priority order to the shard owning its device's home
         (after settling that shard's pending batch, so the new order
-        only governs arbitration from this point on)."""
+        only governs arbitration from this point on).  The shard
+        re-arbitrates the device's DENIED rules at once."""
         index = self.router.shard_of(order.device_udn)
         self.bus.flush(shard=index)
-        return self.shards[index].add_priority_order(order)
+        order = self.shards[index].add_priority_order(order)
+        self._orders_changed()
+        return order
+
+    def remove_priority_order(self, order: PriorityOrder) -> None:
+        """Remove an order from the shard owning its device; the device's
+        DENIED rules are re-arbitrated at once."""
+        index = self.router.shard_of(order.device_udn)
+        self.bus.flush(shard=index)
+        self.shards[index].remove_priority_order(order.order_id)
+        self._orders_changed()
+
+    def _orders_changed(self) -> None:
+        if self.durability is not None:
+            # Like rule churn: the re-arbitration and the shard's new
+            # epoch belong in a snapshot, not in a WAL written before.
+            self.durability.checkpoint()
 
     # -- world-state feeds -----------------------------------------------------
 

@@ -48,7 +48,8 @@ def _discard_dispatch(spec: ActionSpec) -> None:
 #: per name and :class:`~repro.cluster.worker.WorkerHost` runs the name
 #: on its shard; every other public method is one-way or worker-side.
 REMOTE_CALLS = (
-    "register_rule", "remove_rule", "add_priority_order", "rule_count",
+    "register_rule", "remove_rule", "add_priority_order",
+    "remove_priority_order", "rule_count",
     "rule_truth", "rule_state", "holder_of", "trace", "coalesce_safe",
     "adopt_mirrors", "release_mirrors", "mirrors_of_rule",
     "mirror_variables", "variable_value", "telemetry_snapshot",
@@ -123,8 +124,9 @@ class EngineShard:
         self.conflicts = stack.conflicts
         self.engine = stack.engine
         self.pipeline = stack.pipeline
-        # Bumped on every rule add/remove; the ingest bus keys its
-        # coalesce-safety caches on it so churn invalidates them.
+        # Bumped on every rule or priority-order add/remove; the ingest
+        # bus keys its coalesce-safety caches on it so churn invalidates
+        # them, and the durability plane re-checkpoints when it moves.
         self.epoch = 0
         # Mirrors hosted on this shard: cross-home rules homed here that
         # read variables another shard owns.  Refcounted per rule so
@@ -140,9 +142,9 @@ class EngineShard:
         self._wal_encoder = WireEncoder()
         # -- clock ticks -----------------------------------------------------
         # On the fast path a tick at a non-boundary time with no
-        # DENIED/until/disabled/stateful clock-watchers is a no-op, so
-        # the shard sleeps until the wheel's next armed boundary instead
-        # of waking every period.  Wakes stay snapped to the fixed
+        # until/disabled/stateful clock-watchers is a no-op, so the shard
+        # sleeps until the next armed rule or order-context boundary
+        # instead of waking every period.  Wakes stay snapped to the fixed
         # cadence grid (anchor + k*period) so observable tick times — and
         # therefore traces — are identical to the oracle's fixed cadence.
         self.clock_tick_period = clock_tick_period
@@ -172,7 +174,17 @@ class EngineShard:
         return rule
 
     def add_priority_order(self, order: PriorityOrder) -> PriorityOrder:
-        return self.priorities.add_order(order)
+        """Add an order; the engine re-arbitrates the device's DENIED
+        rules at once."""
+        order = self.priorities.add_order(order)
+        self.epoch += 1
+        return order
+
+    def remove_priority_order(self, order_id: int) -> None:
+        """Remove an order; the engine re-arbitrates the device's DENIED
+        rules at once."""
+        self.priorities.remove_order(order_id)
+        self.epoch += 1
 
     def rule_count(self) -> int:
         return len(self.database)
@@ -260,9 +272,15 @@ class EngineShard:
           preempt/regrant handoffs whose outcome is history-dependent
           (the keep-status-quo prompt favours whoever fired first).
 
+        Nor may a priority order's context read the variable: a skipped
+        value can be exactly the context flip that re-arbitrates a
+        DENIED rule (re-arbitration trigger (c)).
+
         Disabled rules count as live: re-enabling mid-batch must not
         retroactively make an applied coalescing unsound.
         """
+        if self.priorities.orders_reading(variable):
+            return False
         for rule in self.database.rules_reading_variable(variable):
             if rule.until is not None:
                 return False

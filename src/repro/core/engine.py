@@ -20,6 +20,35 @@ record the game with the video recorder"); when the contested device is
 later released, standing rules are re-arbitrated so the strongest
 claimant upgrades back to its primary action.
 
+Re-arbitration
+--------------
+
+A conflict goes to the priority order whose context holds, or to the
+prompt policy (the paper's Fig. 7 dialog) when none applies, so a lost
+conflict cannot turn while nothing that decided it changes.  A DENIED
+rule whose condition stays true therefore re-requests its device only
+when:
+
+* **(a)** the device is released (``_regrant``);
+* **(b)** a priority order for the device is added or removed (the
+  :attr:`~repro.core.priority.PriorityManager.on_change` hook);
+* **(c)** the context of one of the device's orders changes truth.  A
+  context is re-evaluated where a rule condition reading the same
+  variables would be: at a write to one of them, at a posted event it
+  names (with the event visible; it settles back quietly after) and at
+  a clock tick if it reads the clock.
+
+A retry that loses again records a ``deny``, so the trace holds one per
+trigger, not one per sensor write, and the prompt policy is asked once
+per conflict.  A holder change by preemption is deliberately not a
+trigger: under ranked orders and the keep-status-quo prompt the new
+holder outranks the old one, which outranked the waiting rule, so a
+retry could not win.  The oracle finds (c) by scanning every order at
+each write, event and tick; the fast path reads the priority manager's
+context-variable index, and a second :class:`~repro.core.wheel.TimeWheel`
+schedules the window boundaries of clock-reading contexts.  DENIED rules
+are found per device through the database's device index.
+
 Evaluation strategy
 -------------------
 
@@ -38,10 +67,8 @@ rules read the variable.  Clock ticks go through the
 :class:`~repro.core.wheel.TimeWheel` boundary schedule: a tick wakes
 only the rules whose time-window atoms crossed a start/end boundary.
 
-Three small watch sets preserve the seed semantics exactly:
+Two small watch sets preserve the seed semantics exactly:
 
-* ``DENIED`` rules retry arbitration on *any* relevant change, flipped
-  atom or not, so they are watched per variable while denied;
 * ``ACTIVE``/``FALLBACK`` rules with an ``until`` evaluate it on any
   relevant change, so they are watched per variable while holding;
 * stateful plans (duration atoms, whose ``held()`` bookkeeping is a
@@ -53,8 +80,8 @@ Constructing the engine with ``incremental=False`` keeps the seed's
 full re-evaluation path unchanged — the executable spec the equivalence
 suites compare against: every ingest re-walks the condition tree of
 every rule reading the variable, and every clock tick re-evaluates
-every clock-reading rule.  Both configurations produce identical truth
-values, states, holders and traces.
+every clock-reading rule and order context.  Both configurations
+produce identical truth values, states, holders and traces.
 
 Decision trace
 --------------
@@ -76,11 +103,16 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterable, Iterator
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.core.action import ActionSpec, Setting
 from repro.core.columnar import ColumnarState, ColumnarStats
-from repro.core.condition import CLOCK_VARIABLE, DurationAtom, TimeWindowAtom
+from repro.core.condition import (
+    CLOCK_VARIABLE,
+    Condition,
+    DurationAtom,
+    TimeWindowAtom,
+)
 from repro.core.database import RuleDatabase
 from repro.core.plan import CompiledPlan
 from repro.core.priority import PriorityManager, PriorityOrder
@@ -112,6 +144,18 @@ _SIZE_BOUNDS = tuple(float(2 ** i) for i in range(17))
 # volume lives in the unsampled counters (columnar.writes etc.).  The
 # per-batch / per-tick / per-dispatch stages are never sampled.
 _SPAN_SAMPLE = 8
+
+_NO_RETRY: frozenset[str] = frozenset()
+
+
+def _windows(condition: Condition) -> list[TimeWindowAtom]:
+    """The distinct time-window atoms a condition reads."""
+    found: dict[str, TimeWindowAtom] = {}
+    for conjunction in condition.dnf():
+        for atom in conjunction:
+            if isinstance(atom, TimeWindowAtom):
+                found.setdefault(atom.key(), atom)
+    return list(found.values())
 
 
 class RuleState(enum.Enum):
@@ -408,20 +452,28 @@ class RuleEngine:
         # when no atom flips.
         self._disabled_dirty: set[str] = set()
         # Fired whenever the set of rules a periodic clock tick must
-        # re-examine (DENIED/until/disabled clock watchers, stateful
-        # window plans, armed wheel boundaries) may have *grown* — the
-        # shard's wheel-aware tick scheduler listens and pulls its next
-        # wake-up in.  Demand shrinking is handled lazily: the already
-        # scheduled tick fires as a no-op and re-arms optimally.
+        # re-examine (until/disabled clock watchers, stateful window
+        # plans, armed wheel boundaries) may have *grown* — the shard's
+        # wheel-aware tick scheduler listens and pulls its next wake-up
+        # in.  Demand shrinking is handled lazily: the already scheduled
+        # tick fires as a no-op and re-arms optimally.
         self.on_clock_demand_changed: Callable[[], None] | None = None
+        self._until_watch: dict[str, set[str]] = {}      # variable -> holding rules
         if incremental:
             # Attach-to-populated-database pattern: rules registered
             # before the engine existed still need plans/subscriptions/
             # watches or delta propagation would silently never wake them.
             for rule in database.all_rules():
                 self._index_rule(rule)
-        self._denied_watch: dict[str, set[str]] = {}     # variable -> DENIED rules
-        self._until_watch: dict[str, set[str]] = {}      # variable -> holding rules
+        # Each priority order's context truth when it was last evaluated
+        # (order id -> truth): a flip is re-arbitration trigger (c).  On
+        # the fast path a second wheel schedules the window boundaries
+        # of clock-reading contexts, so ticks between them can sleep.
+        self._context_truth: dict[int, bool] = {}
+        self._context_wheel = TimeWheel() if incremental else None
+        for order in priorities.orders():
+            self._track_context(order)
+        priorities.on_change = self._order_changed
 
     # -- rule registration hooks ------------------------------------------------------
 
@@ -464,10 +516,8 @@ class RuleEngine:
     def rule_removed(self, rule_name: str) -> None:
         self._truth.pop(rule_name, None)
         state = self._state.pop(rule_name, None)
-        if state is RuleState.DENIED:
-            self._unwatch(self._denied_watch, rule_name)
-        elif state in (RuleState.ACTIVE, RuleState.FALLBACK):
-            self._unwatch(self._until_watch, rule_name)
+        if state in (RuleState.ACTIVE, RuleState.FALLBACK):
+            self._unwatch(rule_name)
         self._plans.pop(rule_name, None)
         self._watch_vars.pop(rule_name, None)
         self._has_until.discard(rule_name)
@@ -491,42 +541,107 @@ class RuleEngine:
     # -- state bookkeeping -------------------------------------------------------------
 
     def _set_state(self, rule_name: str, state: RuleState) -> None:
-        """State transition, maintaining the per-variable watch sets the
-        incremental path needs for DENIED retries and until checks."""
-        if not self.incremental:
-            self._state[rule_name] = state
-            return
+        """State transition, maintaining the per-variable watch set the
+        incremental path needs for until checks."""
         previous = self._state.get(rule_name)
-        if previous is state:
+        self._state[rule_name] = state
+        if not self.incremental or previous is state \
+                or rule_name not in self._has_until:
             return
         holding = (RuleState.ACTIVE, RuleState.FALLBACK)
-        if previous is RuleState.DENIED:
-            self._unwatch(self._denied_watch, rule_name)
-        elif previous in holding and state not in holding:
-            self._unwatch(self._until_watch, rule_name)
-        if state is RuleState.DENIED:
-            self._watch(self._denied_watch, rule_name)
-        elif state in holding and previous not in holding \
-                and rule_name in self._has_until:
-            self._watch(self._until_watch, rule_name)
-        self._state[rule_name] = state
-        # A clock-watching rule entering DENIED (retry every tick) or a
-        # holding state with a clock-reading until needs periodic ticks
-        # again; tell the wheel-aware scheduler.
-        if CLOCK_VARIABLE in self._watch_vars.get(rule_name, ()):
-            self._notify_clock_demand()
+        if previous in holding and state not in holding:
+            self._unwatch(rule_name)
+        elif state in holding and previous not in holding:
+            self._watch(rule_name)
+            # A holder whose until watches the clock needs periodic
+            # ticks again; tell the wheel-aware scheduler.
+            if CLOCK_VARIABLE in self._watch_vars[rule_name]:
+                self._notify_clock_demand()
 
-    def _watch(self, index: dict[str, set[str]], rule_name: str) -> None:
+    def _watch(self, rule_name: str) -> None:
         for variable in self._watch_vars.get(rule_name, ()):
-            index.setdefault(variable, set()).add(rule_name)
+            self._until_watch.setdefault(variable, set()).add(rule_name)
 
-    def _unwatch(self, index: dict[str, set[str]], rule_name: str) -> None:
+    def _unwatch(self, rule_name: str) -> None:
+        index = self._until_watch
         for variable in self._watch_vars.get(rule_name, ()):
             bucket = index.get(variable)
             if bucket is not None:
                 bucket.discard(rule_name)
                 if not bucket:
                     del index[variable]
+
+    # -- re-arbitration triggers -------------------------------------------------------
+
+    def _order_changed(self, order: PriorityOrder, added: bool) -> None:
+        """The :attr:`PriorityManager.on_change` hook: track (or drop)
+        the order's context, then re-arbitrate the DENIED rules on its
+        device at once — trigger (b)."""
+        if added:
+            self._track_context(order)
+        else:
+            del self._context_truth[order.order_id]
+            if self._context_wheel is not None:
+                self._context_wheel.unsubscribe(
+                    str(order.order_id),
+                    [atom.key() for atom in _windows(order.context)])
+        retry = self._denied_on((order.device_udn,))
+        if retry:
+            self._evaluate_dirty(retry, retry)
+
+    def _track_context(self, order: PriorityOrder) -> None:
+        self._context_truth[order.order_id] = order.applies(self.world)
+        windows = _windows(order.context)
+        if windows and self._context_wheel is not None:
+            self._context_wheel.subscribe(
+                str(order.order_id), windows, self.simulator.now)
+            self._notify_clock_demand()
+
+    def _context_orders(self, variable: str) -> Sequence[PriorityOrder]:
+        """The orders whose context reads ``variable``: the manager's
+        index on the fast path, a scan of every order on the oracle."""
+        if self.incremental:
+            return self.priorities.orders_reading(variable)
+        return [order for order in self.priorities.orders()
+                if variable in order.context.referenced_variables()]
+
+    def _flip_contexts(self, orders: Iterable[PriorityOrder]) -> list[str]:
+        """Re-evaluate ``orders``' contexts; returns the devices of those
+        whose truth changed since they were last evaluated."""
+        truths = self._context_truth
+        world = self.world
+        flipped = []
+        for order in orders:
+            truth = order.applies(world)
+            if truths[order.order_id] != truth:
+                truths[order.order_id] = truth
+                flipped.append(order.device_udn)
+        return flipped
+
+    def _denied_on(self, devices: Iterable[str]) -> set[str]:
+        """The DENIED rules a retry would send to one of ``devices``
+        (their primary or fallback target), found through the
+        database's device index."""
+        state = self._state
+        denied = set()
+        for udn in devices:
+            for rule in self.database.rules_for_device(udn):
+                if state.get(rule.name) is RuleState.DENIED and (
+                        rule.action.device_udn == udn
+                        or (rule.fallback is not None
+                            and rule.fallback.device_udn == udn)):
+                    denied.add(rule.name)
+        return denied
+
+    def _context_retries(self, variable: str) -> set[str]:
+        """Trigger (c) at a change of ``variable``: the DENIED rules on
+        every device one of whose order contexts (reading the variable)
+        changed truth."""
+        orders = self._context_orders(variable)
+        if not orders:
+            return _NO_RETRY
+        flipped = self._flip_contexts(orders)
+        return self._denied_on(flipped) if flipped else _NO_RETRY
 
     # -- world-state ingestion ----------------------------------------------------------
 
@@ -584,9 +699,12 @@ class RuleEngine:
         else:
             raise RuleError(f"cannot ingest value of type {type(value).__name__}")
         # The seed path: re-walk every rule reading the variable.
-        self._evaluate_rules(
-            [r.name for r in self.database.rules_reading_variable(variable)]
-        )
+        names = [r.name for r in self.database.rules_reading_variable(variable)]
+        retry = self._context_retries(variable)
+        if retry:
+            self._evaluate_dirty(retry.union(names), retry)
+        else:
+            self._evaluate_rules(names)
 
     def ingest_batch(
         self, writes: "Iterable[tuple[str, Any]]"
@@ -665,8 +783,9 @@ class RuleEngine:
         return {"armed": len(wheel), "armed_total": wheel.armed_total}
 
     def _finish_wake(self, variable: str, dirty: set[str]) -> None:
-        """Shared tail of every ingest: add the variable's watchers and
-        watch sets to the flip-derived wake set, then evaluate."""
+        """Shared tail of every ingest: add the variable's watchers,
+        watch sets and context retries to the flip-derived wake set,
+        then evaluate."""
         spans = self._spans
         token = None
         if spans is not None:
@@ -677,18 +796,17 @@ class RuleEngine:
         if watchers:
             dirty.update(watchers)
         self._wake_watch_sets(variable, dirty)
-        self._evaluate_dirty(dirty)
+        retry = self._context_retries(variable)
+        if retry:
+            dirty |= retry
+        self._evaluate_dirty(dirty, retry)
         if token is not None:
             spans.span_end(token, size=len(dirty))
 
     def _wake_watch_sets(self, variable: str, dirty: set[str]) -> None:
         """Union in the per-variable sets the seed path re-examined on
-        every relevant change: DENIED rules retrying arbitration,
-        holding rules with a watching ``until``, and disabled-skipped
-        rules."""
-        denied = self._denied_watch.get(variable)
-        if denied:
-            dirty.update(denied)
+        every relevant change: holding rules with a watching ``until``,
+        and disabled-skipped rules."""
         holding = self._until_watch.get(variable)
         if holding:
             dirty.update(holding)
@@ -698,7 +816,8 @@ class RuleEngine:
                 if watch is not None and variable in watch:
                     dirty.add(name)
 
-    def _evaluate_dirty(self, dirty: set[str]) -> None:
+    def _evaluate_dirty(self, dirty: set[str],
+                        retry: Collection[str] = ()) -> None:
         """Evaluate a wake set in the seed's deterministic rule_id order
         (skipping names a queued wake outlived)."""
         if not dirty:
@@ -708,7 +827,7 @@ class RuleEngine:
             (name for name in dirty if name in database),
             key=lambda name: database.get(name).rule_id,
         )
-        self._evaluate_rules(ordered)
+        self._evaluate_rules(ordered, retry)
 
     def post_event(
         self,
@@ -724,17 +843,31 @@ class RuleEngine:
 
         ``only`` restricts the wake set to the named rules — cluster
         shards host several homes, and a home-scoped event must not leak
-        to co-located homes' rules."""
+        to co-located homes' rules.  Order contexts naming the event are
+        evaluated with it visible (a flip retries the DENIED rules on
+        the order's device, within ``only``) and settle back quietly
+        after it, like rule truth."""
+        variable = f"event:{event_type}"
         dirty = [
             r.name
-            for r in self.database.rules_reading_variable(f"event:{event_type}")
+            for r in self.database.rules_reading_variable(variable)
             if only is None or r.name in only
         ]
+        orders = self._context_orders(variable)
         self.world.begin_events({(event_type, subject)})
         try:
-            self.reevaluate(dirty)
+            flipped = self._flip_contexts(orders) if orders else None
+            retry = self._denied_on(flipped) if flipped else _NO_RETRY
+            if only is not None and retry:
+                retry = {name for name in retry if name in only}
+            if retry:
+                self._evaluate_dirty(retry.union(dirty), retry)
+            else:
+                self.reevaluate(dirty)
         finally:
             self.world.end_events()
+        if orders:
+            self._flip_contexts(orders)
         for name in dirty:
             if name not in self.database:
                 continue
@@ -754,16 +887,17 @@ class RuleEngine:
         clock task and the cluster shards share, so window-boundary
         semantics can never drift between the two facades.
 
-        On the seed path every rule reading the clock pseudo-variable is
-        re-evaluated (O(clock rules) per tick).  Incrementally, the time
-        wheel wakes only rules whose window atoms crossed a start/end
-        boundary since
-        the last tick wake — plus the sets the blanket wake re-examined
-        every tick as a side effect and that genuinely need it: DENIED
-        rules retrying arbitration, holding rules with a clock-reading
-        ``until``, disabled-skipped rules whose next wake must re-derive
-        truth, and stateful duration-over-window plans whose ``held()``
-        sampling is tick-sensitive.  O(crossings), ~flat in the window
+        On the seed path every rule and every order context reading the
+        clock pseudo-variable is re-evaluated (O(clock rules) per tick).
+        Incrementally, the time wheel wakes only rules whose window
+        atoms crossed a start/end boundary since the last tick wake —
+        plus the sets the blanket wake re-examined every tick as a side
+        effect and that genuinely need it: holding rules with a
+        clock-reading ``until``, disabled-skipped rules whose next wake
+        must re-derive truth, and stateful duration-over-window plans
+        whose ``held()`` sampling is tick-sensitive — and the clock
+        contexts are re-evaluated only when the context wheel pops one
+        of their boundaries.  O(crossings), ~flat in the window
         population.
         """
         if self._time_wheel is None:
@@ -771,16 +905,24 @@ class RuleEngine:
                 r.name
                 for r in self.database.rules_reading_variable(CLOCK_VARIABLE)
             ]
-            if dirty:
+            retry = self._context_retries(CLOCK_VARIABLE)
+            if retry:
+                self._evaluate_dirty(retry.union(dirty), retry)
+            elif dirty:
                 self.reevaluate(dirty)
             return
         spans = self._spans
         token = spans.span_begin("wheel") if spans is not None else None
-        wake = self._time_wheel.advance(self.simulator.now)
+        now = self.simulator.now
+        wake = self._time_wheel.advance(now)
         if self._tick_stateful:
             wake |= self._tick_stateful
         self._wake_watch_sets(CLOCK_VARIABLE, wake)
-        self._evaluate_dirty(wake)
+        retry = _NO_RETRY
+        if self._context_wheel.advance(now):
+            retry = self._context_retries(CLOCK_VARIABLE)
+            wake |= retry
+        self._evaluate_dirty(wake, retry)
         if token is not None:
             spans.span_end(token, size=len(wake))
             self._wheel_wake_counter.inc(len(wake))
@@ -791,25 +933,28 @@ class RuleEngine:
         observable work — the wheel-aware tick scheduler's sleep target.
 
         Returns ``now`` when every periodic tick matters (the seed path,
-        or any tick-stateful plan / DENIED / until / disabled clock-watcher
-        the blanket wake would re-examine each tick), the next armed
-        wheel boundary when only window crossings remain, and ``inf``
-        when nothing clock-driven exists at all.  Demand can only move
-        *earlier* through paths that fire :attr:`on_clock_demand_changed`,
-        so a scheduler that re-arms on that hook never oversleeps; ticks
-        it schedules too early are no-ops and therefore trace-invisible.
+        or any tick-stateful plan / until / disabled clock-watcher the
+        blanket wake would re-examine each tick), the next armed rule or
+        context boundary when only window crossings remain, and ``inf``
+        when nothing clock-driven exists at all.  A DENIED rule adds no
+        demand: it waits for a trigger, and a clock context's flip is a
+        context boundary.  Demand can only move *earlier* through paths
+        that fire :attr:`on_clock_demand_changed`, so a scheduler that
+        re-arms on that hook never oversleeps; ticks it schedules too
+        early are no-ops and therefore trace-invisible.
         """
         if self._time_wheel is None:
             return self.simulator.now
-        if self._tick_stateful or self._denied_watch.get(CLOCK_VARIABLE) \
-                or self._until_watch.get(CLOCK_VARIABLE):
+        if self._tick_stateful or self._until_watch.get(CLOCK_VARIABLE):
             return self.simulator.now
         for name in self._disabled_dirty:
             watch = self._watch_vars.get(name)
             if watch is not None and CLOCK_VARIABLE in watch:
                 return self.simulator.now
-        boundary = self._time_wheel.peek()
-        return math.inf if boundary is None else boundary
+        boundaries = [when for when in (self._time_wheel.peek(),
+                                        self._context_wheel.peek())
+                      if when is not None]
+        return min(boundaries, default=math.inf)
 
     def _notify_clock_demand(self) -> None:
         if self.on_clock_demand_changed is not None:
@@ -837,8 +982,12 @@ class RuleEngine:
         )
         return self._columnar.rule_truth(name, volatile_bits)
 
-    def _evaluate_rules(self, rule_names: Iterable[str]) -> None:
-        """Shared edge-firing loop of both evaluation paths."""
+    def _evaluate_rules(self, rule_names: Iterable[str],
+                        retry: Collection[str] = ()) -> None:
+        """Shared edge-firing loop of both evaluation paths.  A rule
+        requests its device on its condition's rising edge, or — named
+        in ``retry`` by a re-arbitration trigger — when it is DENIED and
+        its condition still holds."""
         rising: list[Rule] = []
         for name in rule_names:
             if name not in self.database:
@@ -859,8 +1008,9 @@ class RuleEngine:
                 rising.append(rule)
             elif previous and not truth:
                 self._on_condition_fall(rule)
-            elif truth and self._state.get(name) is RuleState.DENIED:
-                rising.append(rule)  # retry denied rules on any relevant change
+            elif truth and name in retry \
+                    and self._state.get(name) is RuleState.DENIED:
+                rising.append(rule)
             if (
                 truth
                 and rule.until is not None
@@ -1164,8 +1314,9 @@ class RuleEngine:
     def restore_runtime(self, snapshot: dict) -> None:
         """Recovery phase 2, after rules re-registered: overlay truth,
         states, holders and the trace (erasing registration-time firing
-        side effects), rebuild the DENIED/until watch sets those states
-        imply, restore the wheel schedule and re-arm held rechecks."""
+        side effects), rebuild the until watch set those states imply,
+        re-derive each order context's truth from the restored world,
+        restore the wheel schedule and re-arm held rechecks."""
         database = self.database
         for name, enabled in snapshot["enabled"].items():
             if name in database:
@@ -1186,19 +1337,22 @@ class RuleEngine:
         self._disabled_dirty.update(
             name for name in snapshot["disabled_dirty"] if name in database
         )
-        # The watch sets are exactly what _set_state maintains: a pure
+        # The watch set is exactly what _set_state maintains: a pure
         # function of each rule's restored state and watch variables.
-        self._denied_watch.clear()
         self._until_watch.clear()
         if self.incremental:
             holding = (RuleState.ACTIVE, RuleState.FALLBACK)
             for name, state in self._state.items():
-                if name not in database:
-                    continue
-                if state is RuleState.DENIED:
-                    self._watch(self._denied_watch, name)
-                elif state in holding and name in self._has_until:
-                    self._watch(self._until_watch, name)
+                if state in holding and name in self._has_until:
+                    self._watch(name)
+        # Context truths are a function of the world: every write to a
+        # context's variables and every tick at one of its boundaries
+        # re-evaluated it before the snapshot was taken.
+        world = self.world
+        self._context_truth = {
+            order.order_id: order.applies(world)
+            for order in self.priorities.orders()
+        }
         self._trace_ring.clear()
         self._trace_ring.extend(map(tuple, snapshot["trace"]))
         wheel_data = snapshot.get("wheel")

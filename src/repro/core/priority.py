@@ -12,13 +12,20 @@ Fig. 7 dialog arranges conflicting users' rules top-to-bottom), scoped
 to one device and guarded by an optional context condition.  The
 :class:`PriorityManager` stores every order and, given a runtime
 conflict, returns the first order whose context currently holds.
+
+Adding or removing an order changes who may win a device, so the
+manager reports every change through one hook,
+:attr:`PriorityManager.on_change`, which the rule engine installs; both
+facades reach the engine that way.  The manager also indexes orders by
+the variables their contexts read, the engine's way to find the
+contexts a write can flip.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.condition import Condition, EvaluationContext, TrueAtom
 from repro.core.rule import Rule
@@ -73,12 +80,21 @@ class PriorityManager:
 
     def __init__(self) -> None:
         self._orders: dict[str, list[PriorityOrder]] = {}
+        # context variable -> orders whose context reads it
+        self._readers: dict[str, list[PriorityOrder]] = {}
+        #: Called as ``on_change(order, added)`` after every add and
+        #: every remove.
+        self.on_change: Callable[[PriorityOrder, bool], None] | None = None
 
     def add_order(self, order: PriorityOrder) -> PriorityOrder:
         """Register an order; later-registered orders win ties, matching
         the paper's flow where the user (re)specifies the order when a
         new conflict is reported — newest decision is freshest."""
         self._orders.setdefault(order.device_udn, []).insert(0, order)
+        for variable in order.context.referenced_variables():
+            self._readers.setdefault(variable, []).append(order)
+        if self.on_change is not None:
+            self.on_change(order, True)
         return order
 
     def remove_order(self, order_id: int) -> None:
@@ -86,8 +102,25 @@ class PriorityManager:
             for order in orders:
                 if order.order_id == order_id:
                     orders.remove(order)
+                    for variable in order.context.referenced_variables():
+                        readers = self._readers[variable]
+                        readers.remove(order)
+                        if not readers:
+                            del self._readers[variable]
+                    if self.on_change is not None:
+                        self.on_change(order, False)
                     return
         raise RuleError(f"no priority order with id {order_id}")
+
+    def orders(self) -> Iterator[PriorityOrder]:
+        """Every registered order, device by device."""
+        for orders in self._orders.values():
+            yield from orders
+
+    def orders_reading(self, variable: str) -> Sequence[PriorityOrder]:
+        """The orders whose context reads ``variable`` (shared list;
+        callers must not mutate it)."""
+        return self._readers.get(variable, ())
 
     def orders_for_device(self, device_udn: str) -> list[PriorityOrder]:
         return list(self._orders.get(device_udn, ()))

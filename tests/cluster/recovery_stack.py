@@ -2,9 +2,11 @@
 
 One compact rule population per home covering every engine feature class
 (stop actions, untils, arbitration with fallback, negation, EPG
-membership, a near-origin time window, events, duration atoms), a seeded
-fractional-timestamp op-script generator, and drive/observe helpers used
-by both the unit-level recovery tests and the randomized
+membership, a near-origin time window, events, duration atoms), the
+tv's priority orders (context-free, presence-context and
+time-window-context, so context flips re-arbitrate DENIED rules), a
+seeded fractional-timestamp op-script generator, and drive/observe
+helpers used by both the unit-level recovery tests and the randomized
 restart-equivalence suite.
 
 Scripts deliberately use *fractional* timestamps (x.25/x.5/x.75) so no
@@ -106,6 +108,9 @@ def build_rules(home):
              condition=place(home, "Emily", "living room"),
              action=act(dev("tv"), "ShowMovie"),
              fallback=act(dev("recorder"), "Record")),
+        Rule(name=f"{home}-alan-tv", owner="Alan",
+             condition=num(humid(home), Relation.LT, 35.0),
+             action=act(dev("tv"), "ShowNews")),
         Rule(name=f"{home}-lamp", owner="Tom",
              condition=AndCondition([
                  place(home, "Tom", "kitchen", negated=True),
@@ -138,7 +143,22 @@ def fresh_rules(homes):
 
 
 def tv_orders(homes):
-    return [PriorityOrder(f"{home}/tv", ("Emily", "Tom")) for home in homes]
+    """Fresh priority orders for each home's tv: Emily over Tom (Alan
+    unranked) by default; Alan first while Tom is in the kitchen or
+    between 00:30 and 01:30 (a window short scripts open and close)."""
+    return [
+        order
+        for home in homes
+        for order in (
+            PriorityOrder(f"{home}/tv", ("Emily", "Tom")),
+            PriorityOrder(f"{home}/tv", ("Alan", "Tom", "Emily"),
+                          context=place(home, "Tom", "kitchen"),
+                          label="Tom is in the kitchen"),
+            PriorityOrder(f"{home}/tv", ("Alan", "Emily", "Tom"),
+                          context=TimeWindowAtom(hhmm(0, 30), hhmm(1, 30)),
+                          label="after midnight"),
+        )
+    ]
 
 
 def devices_of(home):
@@ -168,15 +188,15 @@ def script(seed, homes=(HOME,), steps=48, ckpt_every=9):
         if roll < 0.40:
             variable = rng.choice((temp(home), humid(home), lux(home)))
             ops.append((t, "w", variable, rng.choice(VALUE_GRID), None))
-        elif roll < 0.60:
+        elif roll < 0.70:
             person = rng.choice(PEOPLE)
             ops.append(
                 (t, "w", place_var(home, person), rng.choice(ROOMS), None))
-        elif roll < 0.70:
+        elif roll < 0.78:
             members = frozenset(
                 keyword for keyword in KEYWORDS if rng.random() < 0.4)
             ops.append((t, "w", epg_var(home), members, None))
-        elif roll < 0.80:
+        elif roll < 0.86:
             ops.append(
                 (t, "w", door_var(home), rng.choice(("true", "false")), None))
         else:
@@ -206,7 +226,7 @@ def apply_op(server, op):
 
 
 def new_cluster(simulator, homes=(HOME,), **kwargs):
-    """A cluster with the scenario's rules and tv priority registered.
+    """A cluster with the scenario's rules and tv priorities registered.
     Coalescing defaults off so every intermediate edge survives into the
     trace (the strictest equivalence surface)."""
     kwargs.setdefault("shard_count", 1)

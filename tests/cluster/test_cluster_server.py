@@ -234,6 +234,32 @@ class TestServing:
         assert holder is not None and holder[0] == "alan-cool"
         assert cluster.rule_state("tom-cool") is RuleState.DENIED
 
+    @pytest.mark.parametrize("backend", ("thread", "process"))
+    def test_order_churn_re_arbitrates_at_once(self, backend):
+        """Adding or removing an order reaches the shard's engine (in
+        the worker, on the process backend) and re-arbitrates the
+        device's DENIED rules without waiting for a write."""
+        server = ClusterServer(Simulator(), shard_count=2, backend=backend)
+        try:
+            server.register_rule(
+                cool_rule("home-0001", name="tom-cool", owner="Tom"))
+            server.register_rule(cool_rule(
+                "home-0001", name="alan-cool", owner="Alan", bound=24.0))
+            server.ingest("home-0001/thermo:svc:temperature", 30.0)
+            server.flush()
+            assert server.holder_of("home-0001/aircon")[0] == "tom-cool"
+            assert server.rule_state("alan-cool") is RuleState.DENIED
+            order = server.add_priority_order(
+                PriorityOrder("home-0001/aircon", ("Alan", "Tom")))
+            assert server.holder_of("home-0001/aircon")[0] == "alan-cool"
+            assert server.rule_state("tom-cool") is RuleState.DENIED
+            server.remove_priority_order(order)
+            assert [(e.kind, e.rule) for e in
+                    server.trace(home="home-0001")][-2:] == [
+                ("conflict", "tom-cool"), ("deny", "tom-cool")]
+        finally:
+            server.shutdown()
+
     def test_post_event_routed_to_home(self, cluster):
         rule = Rule(
             name="hall-light", owner="Tom",

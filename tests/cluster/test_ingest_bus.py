@@ -5,9 +5,11 @@ import pytest
 
 from repro.cluster.bus import IngestBus
 from repro.cluster.router import ShardRouter
+from repro.cluster.server import ClusterServer
 from repro.cluster.shard import EngineShard
 from repro.core.action import ActionSpec, Setting
 from repro.core.condition import AndCondition, DiscreteAtom, DurationAtom, NumericAtom
+from repro.core.priority import PriorityOrder
 from repro.core.rule import Rule
 from repro.sim.events import Simulator
 from repro.solver.linear import LinearConstraint, LinearExpr, Relation
@@ -319,3 +321,75 @@ class TestEventsAndShutdown:
         assert bus.stats.applied == 1
         assert bus.applied_counts == [1]
         assert shard.engine.world.value_of(DOOR) is None
+
+
+class TestOrderContextsAndCoalescing:
+    """A skipped value of a variable that a priority order's context
+    reads can be exactly the context flip that re-arbitrates a DENIED
+    rule, so such a variable is never coalesced, and order churn moves
+    the shard epoch the safety cache is keyed on."""
+
+    EMILY = f"{HOME}/locator:svc:place-Emily"
+
+    def _contest(self, cluster):
+        for name, owner in (("tom-tv", "Tom"), ("alan-tv", "Alan")):
+            cluster.register_rule(Rule(
+                name=name, owner=owner,
+                condition=DiscreteAtom(f"{HOME}/locator:svc:place-{owner}",
+                                       "living room"),
+                action=act(f"{HOME}/tv", f"Show-{owner}")))
+        cluster.add_priority_order(PriorityOrder(
+            f"{HOME}/tv", ("Alan", "Tom"),
+            context=DiscreteAtom(self.EMILY, "kitchen"),
+            label="Emily is in the kitchen"))
+
+    def test_context_only_variable_run_matches_uncoalesced(self):
+        outcomes = {}
+        for coalesce in (True, False):
+            cluster = ClusterServer(Simulator(), shard_count=1,
+                                    coalesce=coalesce)
+            try:
+                self._contest(cluster)
+                cluster.ingest(self.EMILY, "hall")
+                cluster.ingest(f"{HOME}/locator:svc:place-Tom",
+                               "living room")
+                cluster.ingest(f"{HOME}/locator:svc:place-Alan",
+                               "living room")
+                cluster.flush()
+                # One run: Emily passes through the kitchen.  The flip
+                # hands Alan the TV, the flip back retries Tom, and the
+                # keep-status-quo prompt leaves it with Alan.
+                for room in ("hall", "kitchen", "bedroom"):
+                    cluster.ingest(self.EMILY, room)
+                cluster.flush()
+                outcomes[coalesce] = (
+                    cluster.holder_of(f"{HOME}/tv")[0],
+                    [(e.time, e.kind, e.rule, e.device, e.detail)
+                     for e in cluster.trace(home=HOME)],
+                    cluster.bus.stats.coalesced)
+            finally:
+                cluster.shutdown()
+        assert outcomes[True][:2] == outcomes[False][:2]
+        assert outcomes[True][0] == "alan-tv"
+        assert outcomes[True][2] == 0
+
+    @pytest.mark.parametrize("backend", ("thread", "process"))
+    def test_order_churn_invalidates_safety_cache(self, backend):
+        cluster = ClusterServer(Simulator(), shard_count=1, backend=backend)
+        try:
+            def pending_after_run():
+                cluster.ingest(self.EMILY, "hall")
+                cluster.ingest(self.EMILY, "kitchen")
+                pending = cluster.bus.pending(0)
+                cluster.flush()
+                return pending
+
+            assert pending_after_run() == 1  # no reader: merged
+            order = cluster.add_priority_order(PriorityOrder(
+                f"{HOME}/tv", ("Alan", "Tom"),
+                context=DiscreteAtom(self.EMILY, "kitchen")))
+            assert pending_after_run() == 2
+            cluster.remove_priority_order(order)
+            assert pending_after_run() == 1
+        finally:
+            cluster.shutdown()

@@ -96,6 +96,54 @@ def test_ablation_backend_non_incremental():
                       "seed 3, incremental off")
 
 
+#: Lives in which both of the tv's context-attached orders decide grants
+#: and context flips at writes and at ticks re-arbitrate DENIED rules.
+CONTEXT_LIVES = (((HOME,), 1), ((HOME,), 3), ((HOME,), 13),
+                 (HOMES, 5), (HOMES, 13), (HOMES, 15))
+
+
+@pytest.mark.parametrize("homes, seed", CONTEXT_LIVES)
+def test_fast_path_in_thread_matches_oracle_in_workers(homes, seed):
+    """The in-thread fast path against the ``incremental=False`` oracle
+    in worker processes, over lives whose tv orders carry presence and
+    time-window contexts: context-flip re-arbitration (index and context
+    wheel vs a scan of every order) must agree entry for entry across
+    both the configuration and the socket."""
+    ops = script(seed, homes=homes)
+    end_time = end_time_of(ops)
+    results = {}
+    for backend, incremental in (("thread", True), ("process", False)):
+        server = new_cluster(Simulator(), homes, shard_count=2,
+                             backend=backend, incremental=incremental)
+        try:
+            drive_uninterrupted(server, ops, end_time)
+            results[backend] = observe(server, homes)
+        finally:
+            server.shutdown()
+    assert_equivalent(results["process"], results["thread"],
+                      f"seed {seed}, fast thread vs oracle process")
+
+
+def test_context_lives_reach_both_context_orders():
+    """The twin above judges context-flip re-arbitration only if its
+    lives reach it: both context-attached orders decide some grant."""
+    labels = set()
+    for homes, seed in CONTEXT_LIVES:
+        ops = script(seed, homes=homes)
+        server = new_cluster(Simulator(), homes, shard_count=2)
+        try:
+            drive_uninterrupted(server, ops, end_time_of(ops))
+            for home in homes:
+                labels |= {
+                    entry.detail.rsplit("(when ", 1)[1][:-2]
+                    for entry in server.trace(home=home)
+                    if "(when " in entry.detail
+                }
+        finally:
+            server.shutdown()
+    assert labels == {"Tom is in the kitchen", "after midnight"}
+
+
 def test_cross_home_mirror_rule_over_the_wire():
     """A rule reading two homes' sensors: its foreign variable mirrors
     through BATCH frames to the hosting worker, and its truth tracks

@@ -5,11 +5,12 @@ wakes land exactly on the fixed cadence grid and every skipped tick
 would have been a no-op.
 
 The fixed cadence must survive whenever a tick can do work without a
-boundary crossing: tick-stateful duration-over-window plans, DENIED
-clock-watchers retrying arbitration, holders with a clock-reading
-``until``, and disabled-skipped clock rules.  Demand growing mid-sleep
-(a rule turning DENIED off an ingest, a freshly registered window rule)
-must pull the next wake in through the engine's clock-demand hook.
+boundary crossing: tick-stateful duration-over-window plans, holders
+with a clock-reading ``until``, and disabled-skipped clock rules.  A
+DENIED clock-watcher adds no demand: it re-requests its device only on
+a re-arbitration trigger.  Demand growing mid-sleep (a freshly
+registered window rule) must pull the next wake in through the
+engine's clock-demand hook.
 """
 
 import pytest
@@ -144,8 +145,8 @@ class TestDemandGrowth:
         shard.shutdown()
 
     def test_denied_clock_watcher_restores_every_tick_retry(self):
-        """A DENIED windowed rule retries arbitration each tick; the
-        adaptive schedule must keep the fixed cadence while it stands."""
+        """A DENIED windowed rule no longer retries arbitration each
+        tick, so the shard sleeps through it to the window's end."""
         simulator, shard = make_shard()
         shard.register_rule(Rule(
             name="tom-tv", owner="Tom",
@@ -159,11 +160,13 @@ class TestDemandGrowth:
         ))
         shard.add_priority_order(PriorityOrder(f"{HOME}/tv",
                                                ("Tom", "Alan")))
-        simulator.run_until(PERIOD)  # first tick fires both; Alan loses
+        simulator.run_until(PERIOD)  # both fired at registration; Alan lost
         assert shard.engine.rule_state("alan-tv") is RuleState.DENIED
-        ticks_before = shard.ticks
+        denies = [e.kind for e in shard.engine.trace].count("deny")
         simulator.run_until(PERIOD + 10 * PERIOD)
-        assert shard.ticks - ticks_before == 10  # every period, no sleep
+        assert shard.ticks == 0  # asleep until the 23:59 boundary
+        assert shard.engine.clock_demand() == hhmm(23, 59)
+        assert [e.kind for e in shard.engine.trace].count("deny") == denies
         shard.shutdown()
 
     def test_duration_over_window_keeps_fixed_cadence(self):

@@ -1,7 +1,8 @@
 """Tests for the write indexes that pick which atoms a world write can
 flip (owned by :class:`~repro.core.columnar.ColumnarState`), the
 database's plan sharing and index pruning, and the engine's incremental
-bookkeeping (trace ring buffer, watch-set and bucket pruning)."""
+bookkeeping (trace ring buffer, watch-set and bucket pruning, the
+DENIED rules waiting for each device)."""
 
 import pytest
 
@@ -321,7 +322,7 @@ class TestEngineBookkeeping:
         assert not harness.engine._columnar._tables
         assert len(harness.engine._columnar._atoms) == 0
         assert not harness.engine._watch_vars
-        assert not harness.engine._denied_watch
+        assert harness.engine._denied_on(("tv-1",)) == set()
         assert not harness.engine._until_watch
 
     def test_denied_watch_follows_state(self):
@@ -334,11 +335,9 @@ class TestEngineBookkeeping:
         harness.engine.ingest("person:Alan:place", "living room")
         harness.engine.ingest("person:Tom:place", "living room")
         assert harness.engine.rule_state("tom") is RuleState.DENIED
-        assert any("tom" in bucket
-                   for bucket in harness.engine._denied_watch.values())
+        assert harness.engine._denied_on(("tv-1",)) == {"tom"}
         harness.engine.ingest("person:Tom:place", "kitchen")
-        assert not any("tom" in bucket
-                       for bucket in harness.engine._denied_watch.values())
+        assert harness.engine._denied_on(("tv-1",)) == set()
 
     def test_until_watch_follows_holding_state(self):
         harness = Harness()

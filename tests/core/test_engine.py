@@ -17,13 +17,19 @@ from repro.errors import RuleError
 from repro.sim.clock import hhmm
 from repro.sim.events import Simulator
 
-from tests.core.conftest import action, in_room, make_rule, temp_above
+from tests.core.conftest import (
+    action,
+    evening,
+    in_room,
+    make_rule,
+    temp_above,
+)
 
 
 class Harness:
     """Engine + fake dispatcher capturing issued commands."""
 
-    def __init__(self, prompt_policy=None):
+    def __init__(self, prompt_policy=None, incremental=True):
         self.simulator = Simulator()
         self.database = RuleDatabase()
         self.priorities = PriorityManager()
@@ -34,6 +40,7 @@ class Harness:
             self.simulator,
             dispatch=self.dispatched.append,
             prompt_policy=prompt_policy,
+            incremental=incremental,
         )
 
     def add_rule(self, rule):
@@ -213,6 +220,138 @@ class TestArbitration:
         harness.engine.ingest("person:Alan:last_arrival", "work")
         harness.engine.reevaluate(["alan-tv"])
         assert harness.engine.holder_of("tv-1")[0] == "alan-tv"
+
+
+TEMP = "thermo:t:temperature"
+
+
+class TestReArbitrationTriggers:
+    """A DENIED rule whose condition stays true re-requests its device
+    only when the device is released, an order for it is added or
+    removed, or the context of one of its orders flips — on both
+    engine configurations."""
+
+    @pytest.fixture(params=(True, False), ids=("fast", "oracle"))
+    def incremental(self, request):
+        return request.param
+
+    @staticmethod
+    def _tv(harness, alan_condition):
+        harness.add_rule(make_rule("tom-tv", "Tom", in_room("Tom"),
+                                   action(act="ShowJazzChannel")))
+        harness.add_rule(make_rule("alan-tv", "Alan", alan_condition,
+                                   action(act="ShowBaseball")))
+
+    def test_writes_to_a_denied_rules_variable_do_not_retry(
+            self, incremental):
+        asked = []
+
+        def counting_prompt(device_udn, competing):
+            asked.append((device_udn, sorted(r.name for r in competing)))
+            return None  # keep the status quo
+
+        harness = Harness(prompt_policy=counting_prompt,
+                          incremental=incremental)
+        self._tv(harness, temp_above(20.0))
+        harness.engine.ingest("person:Tom:place", "living room")
+        for step in range(50):
+            harness.engine.ingest(TEMP, 21.0 + step)
+        assert harness.engine.rule_state("alan-tv") is RuleState.DENIED
+        assert [e.kind for e in harness.engine.trace].count("deny") == 1
+        assert asked == [("tv-1", ["alan-tv", "tom-tv"])]
+
+    def test_context_flip_retries_a_rule_that_does_not_read_it(
+            self, incremental):
+        """``test_context_scoped_priority`` without its explicit
+        ``reevaluate``: the write that makes the order's context true is
+        the trigger, though Alan's rule never reads that variable."""
+        harness = Harness(incremental=incremental)
+        harness.priorities.add_order(PriorityOrder(
+            "tv-1", ("Alan", "Tom"),
+            context=DiscreteAtom("person:Alan:last_arrival", "work")))
+        self._tv(harness, in_room("Alan"))
+        harness.engine.ingest("person:Tom:place", "living room")
+        harness.engine.ingest("person:Alan:place", "living room")
+        assert harness.engine.holder_of("tv-1")[0] == "tom-tv"
+        assert harness.engine._denied_on(("tv-1",)) == {"alan-tv"}
+        harness.engine.ingest("person:Alan:last_arrival", "work")
+        assert harness.engine.holder_of("tv-1")[0] == "alan-tv"
+        assert harness.engine._denied_on(("tv-1",)) == {"tom-tv"}
+        # The context turning false again retries Tom, who loses to the
+        # holder under the keep-status-quo prompt.
+        harness.engine.ingest("person:Alan:last_arrival", "shop")
+        assert harness.engine.holder_of("tv-1")[0] == "alan-tv"
+        assert [e.kind for e in harness.engine.trace][-2:] == \
+            ["conflict", "deny"]
+
+    def test_clock_context_flips_at_the_tick(self, incremental):
+        harness = Harness(incremental=incremental)
+        harness.priorities.add_order(PriorityOrder(
+            "tv-1", ("Alan", "Tom"), context=evening(), label="evening"))
+        self._tv(harness, in_room("Alan"))
+        harness.simulator.run_until(hhmm(16))
+        harness.engine.ingest("person:Tom:place", "living room")
+        harness.engine.ingest("person:Alan:place", "living room")
+        assert harness.engine.holder_of("tv-1")[0] == "tom-tv"
+        harness.simulator.run_until(hhmm(17, 0, 30))
+        harness.engine.clock_tick()  # the first tick past 17:00
+        assert harness.engine.holder_of("tv-1")[0] == "alan-tv"
+        assert harness.engine.trace[-1].detail.endswith(
+            "(order: Alan > Tom (when evening))")
+
+    def test_event_context_applies_at_each_occurrence(self, incremental):
+        """A context naming an event is evaluated with the event visible
+        and settles back after it, so every occurrence is a flip."""
+        harness = Harness(incremental=incremental)
+        harness.priorities.add_order(PriorityOrder(
+            "tv-1", ("Alan", "Tom"),
+            context=EventAtom("returns home", subject="Alan"),
+            label="Alan returns home"))
+        self._tv(harness, in_room("Alan"))
+        for _ in range(2):
+            harness.engine.ingest("person:Tom:place", "living room")
+            harness.engine.ingest("person:Alan:place", "living room")
+            assert harness.engine.holder_of("tv-1")[0] == "tom-tv"
+            harness.engine.post_event("returns home", "Alan")
+            assert harness.engine.holder_of("tv-1")[0] == "alan-tv"
+            assert harness.engine._denied_on(("tv-1",)) == {"tom-tv"}
+            harness.engine.ingest("person:Alan:place", "hall")
+            harness.engine.ingest("person:Tom:place", "hall")
+        assert [e.kind for e in harness.engine.trace].count("preempt") == 2
+
+    def test_add_priority_order_re_arbitrates_at_once(self, incremental):
+        harness = Harness(incremental=incremental)
+        self._tv(harness, in_room("Alan"))
+        harness.engine.ingest("person:Tom:place", "living room")
+        harness.engine.ingest("person:Alan:place", "living room")
+        assert harness.engine.holder_of("tv-1")[0] == "tom-tv"
+        order = harness.priorities.add_order(
+            PriorityOrder("tv-1", ("Alan", "Tom")))
+        assert harness.engine.holder_of("tv-1")[0] == "alan-tv"
+        assert harness.engine.rule_state("tom-tv") is RuleState.DENIED
+        harness.priorities.remove_order(order.order_id)
+        # Removal retries Tom; no order applies and the prompt keeps
+        # the status quo.
+        assert harness.engine.holder_of("tv-1")[0] == "alan-tv"
+        assert [e.kind for e in harness.engine.trace][-2:] == \
+            ["conflict", "deny"]
+
+    def test_preemption_is_not_a_trigger(self, incremental):
+        """Kid loses to Tom; Alan then preempts Tom.  Kid ranks below
+        both, so the holder change does not retry Kid."""
+        harness = Harness(incremental=incremental)
+        harness.priorities.add_order(
+            PriorityOrder("tv-1", ("Alan", "Tom", "Kid")))
+        self._tv(harness, in_room("Alan"))
+        harness.add_rule(make_rule("kid-tv", "Kid", in_room("Kid"),
+                                   action(act="ShowCartoons")))
+        harness.engine.ingest("person:Tom:place", "living room")
+        harness.engine.ingest("person:Kid:place", "living room")
+        harness.engine.ingest("person:Alan:place", "living room")
+        assert harness.engine.holder_of("tv-1")[0] == "alan-tv"
+        assert [(e.kind, e.rule) for e in harness.engine.trace
+                if e.kind == "deny"] == [("deny", "kid-tv")]
+        assert harness.engine._denied_on(("tv-1",)) == {"tom-tv", "kid-tv"}
 
 
 class TestFallbacks:

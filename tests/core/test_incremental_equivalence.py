@@ -7,6 +7,11 @@ through two engines over identically-built rule populations — one
 incremental, one with ``incremental=False`` (the seed path) — asserting
 after every step that rule truth, rule states and device holders agree,
 and at the end that the full trace sequences match entry for entry.
+
+The TV is contested under a context-free order plus a presence-context
+and a time-window-context order, so context flips re-arbitrate DENIED
+rules (the fast path through the context index and wheel, the oracle by
+scanning every order).
 """
 
 import random
@@ -128,8 +133,23 @@ def build_rules() -> list[Rule]:
                                      place("Emily", "kitchen")]),
              action=act("stereo-2"),
              until=MembershipAtom("epg:guide:keywords", "news")),
+        Rule(name="alan-news", owner="Alan",
+             condition=MembershipAtom("epg:guide:keywords", "news"),
+             action=act("tv-1", "ShowNews")),
     ]
     return rules
+
+
+def context_orders() -> list[PriorityOrder]:
+    """The TV's context-attached orders (fresh objects per engine)."""
+    return [
+        PriorityOrder("tv-1", ("Tom", "Alan", "Emily"),
+                      context=place("Alan", "kitchen"),
+                      label="Alan is in the kitchen"),
+        PriorityOrder("tv-1", ("Alan", "Emily", "Tom"),
+                      context=TimeWindowAtom(hhmm(6), hhmm(9)),
+                      label="morning"),
+    ]
 
 
 def churn_rule() -> Rule:
@@ -160,6 +180,8 @@ class Twin:
             for rule in build_rules():
                 database.add(rule)
                 engine.rule_added(rule)
+            for order in context_orders():
+                priorities.add_order(order)
             self.sides.append((simulator, database, engine))
         self.devices = sorted({
             udn
@@ -177,16 +199,11 @@ class Twin:
             engine.post_event(event_type, subject)
 
     def advance(self, seconds: float) -> None:
-        """Advance both clocks and mirror the server's clock tick."""
+        """Advance both clocks and run the server's clock tick."""
         self.now += seconds
-        for simulator, database, engine in self.sides:
+        for simulator, _database, engine in self.sides:
             simulator.run_until(self.now)
-            dirty = [
-                r.name
-                for r in database.rules_reading_variable("clock:time_of_day")
-            ]
-            if dirty:
-                engine.reevaluate(dirty)
+            engine.clock_tick()
 
     def add_rule(self, make) -> None:
         for _sim, database, engine in self.sides:
@@ -223,9 +240,9 @@ class Twin:
                     f"step {step}: holder of {udn!r} diverged"
 
     def check_traces(self) -> None:
-        trace_a = [(e.time, e.kind, e.rule, e.device)
+        trace_a = [(e.time, e.kind, e.rule, e.device, e.detail)
                    for e in self.sides[0][2].trace]
-        trace_b = [(e.time, e.kind, e.rule, e.device)
+        trace_b = [(e.time, e.kind, e.rule, e.device, e.detail)
                    for e in self.sides[1][2].trace]
         assert trace_a == trace_b
 
@@ -273,6 +290,7 @@ def test_stream_exercises_all_trace_kinds():
     """The equivalence stream is only convincing if it actually walks the
     interesting paths: fires, stops, arbitration conflicts."""
     kinds = set()
+    details = set()
     for seed in (20260730, 5, 77):
         rng = random.Random(seed)
         twin = Twin()
@@ -298,5 +316,10 @@ def test_stream_exercises_all_trace_kinds():
             else:
                 twin.advance(rng.choice((30.0, 120.0, 660.0, 3_600.0)))
         kinds |= {e.kind for e in twin.sides[0][2].trace}
+        details |= {e.detail for e in twin.sides[0][2].trace}
     assert {"fire", "stop"} <= kinds
     assert kinds & {"deny", "preempt", "fallback", "conflict"}
+    # Both context-attached orders decided some grant.
+    for label in ("Alan is in the kitchen", "morning"):
+        assert any(detail.endswith(f"(when {label}))")
+                   for detail in details), label

@@ -187,10 +187,10 @@ class TestEngineClockTick:
         calls = []
         original = engine._evaluate_rules
 
-        def spy(names):
+        def spy(names, *retry):
             names = list(names)
             calls.append(names)
-            return original(names)
+            return original(names, *retry)
 
         engine._evaluate_rules = spy
         self._tick_to(simulator, engine, hhmm(5))
