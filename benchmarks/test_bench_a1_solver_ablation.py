@@ -4,15 +4,17 @@ Compares, per single pairwise check (one product of 4 inequalities):
 
 * the interval-propagation fast path (our default);
 * the two-phase Simplex (the paper's prototype used a C Simplex
-  library);
-* the sampling baseline (cheap but incomplete — its disagreement rate
-  against the exact answer is printed).
+  library).
+
+The sampling baseline (cheap but incomplete) was deleted once its point
+was made; its last full-size ledger row stands as the comparison:
+0.256 ms per check with 64 samples, 0/54 conflicts missed, against
+0.014 ms for the interval path and 0.093 ms for Simplex.
 """
 
 import pytest
 
 from benchmarks.conftest import median_seconds, report
-from repro.baselines.naive_conflict import sampling_conflict_check
 from repro.core.satisfiability import conditions_jointly_satisfiable
 from repro.workloads.rules import build_rule_population
 
@@ -65,26 +67,3 @@ def test_backends_agree(condition_pairs):
         ) == conditions_jointly_satisfiable(
             first, second, prefer_intervals=False
         )
-
-
-def test_sampling_baseline(benchmark, condition_pairs):
-    def run():
-        return [
-            sampling_conflict_check(a, b, samples=64)
-            for a, b in condition_pairs
-        ]
-
-    verdicts = benchmark(run)
-    exact = [
-        conditions_jointly_satisfiable(a, b) for a, b in condition_pairs
-    ]
-    false_negatives = sum(
-        1 for sampled, truth in zip(verdicts, exact) if truth and not sampled
-    )
-    per_check = median_seconds(benchmark) / len(condition_pairs)
-    report("A1", f"sampling baseline, 64 samples "
-                 f"({false_negatives}/{sum(exact)} conflicts missed)",
-           "n/a (ablation)", per_check)
-    # Sampling must never invent a conflict the exact checker rules out.
-    assert all(truth or not sampled
-               for sampled, truth in zip(verdicts, exact))

@@ -1,8 +1,13 @@
 """A4 — scaling: retrieval cost vs device-population size.
 
-Extends E1's 50-device point to a 10 → 500 sweep, for both the indexed
-registry lookup (flat) and an unindexed linear scan (linear), plus the
-discovery cost of populating the registry in the first place.
+Extends E1's 50-device point to a 10 → 500 sweep of the indexed
+registry lookup (flat), plus the discovery cost of populating the
+registry in the first place.
+
+The unindexed linear-scan arm was deleted once its point was made; its
+last full-size ledger rows stand as the comparison: 0.0022 ms at 10
+devices growing to 0.046 ms at 500, against 0.0023 ms for the indexed
+lookup at every size.
 """
 
 import pytest
@@ -43,18 +48,6 @@ def test_indexed_name_lookup(benchmark, populations, count):
     assert record.friendly_name == target
     report("A4", f"indexed name lookup @ {count} devices",
            "10 ms or less @ 50 devices", median_seconds(benchmark))
-
-
-@pytest.mark.parametrize("count", SWEEP)
-def test_scan_name_lookup(benchmark, populations, count):
-    control_point = populations[count]
-    target = control_point.registry.all()[count // 2].friendly_name
-
-    records = benchmark(control_point.registry.scan_by_name, target)
-
-    assert len(records) == 1
-    report("A4", f"linear-scan name lookup @ {count} devices",
-           "n/a (ablation)", median_seconds(benchmark))
 
 
 @pytest.mark.parametrize("count", (10, 50, 200))

@@ -17,8 +17,8 @@ Subsystem map (see README.md for the architecture diagram):
   :class:`~repro.core.server.HomeServer` facade.
 * :mod:`repro.support` — authoring sessions, lookup, guidance,
   import/export, text console.
-* :mod:`repro.workloads` / :mod:`repro.baselines` /
-  :mod:`repro.scenarios` — the evaluation harness.
+* :mod:`repro.workloads` / :mod:`repro.scenarios` — the evaluation
+  harness.
 """
 
 __version__ = "1.0.0"

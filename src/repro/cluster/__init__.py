@@ -11,7 +11,7 @@ the facade.
 
 The durability plane (:mod:`repro.cluster.durability`) adds crash
 recovery: per-shard snapshots plus a write-ahead log of drained ingest
-batches, restored via :meth:`ClusterServer.restore`.
+batches, restored via :func:`restore_cluster`.
 
 The process plane (:mod:`repro.cluster.wire` +
 :mod:`repro.cluster.worker`) moves shards out of process: a framed wire

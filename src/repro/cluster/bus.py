@@ -359,10 +359,7 @@ class IngestBus:
         if not queue:
             return
         telemetry = getattr(self.shards[index], "telemetry", None)
-        spans = (
-            telemetry.spans
-            if telemetry is not None and telemetry.enabled else None
-        )
+        spans = telemetry.spans if telemetry is not None else None
         token = (
             spans.span_begin("drain", size=len(queue))
             if spans is not None else None

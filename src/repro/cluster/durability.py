@@ -63,8 +63,11 @@ the actuator boundary, exactly once for engine state.
 Known limitation: replay fires *all* simulator events at or before a
 record's drain time before applying the record, so a timer scheduled at
 exactly the drain time may observe the batch on the other side compared
-to the original run.  The equivalence suite drives ingest at fractional
-timestamps to keep batches and whole-second timers unambiguous.
+to the original run.  The equivalence suites do not avoid the case:
+their scripts step time by multiples of 0.25 s and put some ingest on
+whole seconds, a few on the clock-tick grid.  ROADMAP item 5a (one
+(time, phase, seq) order for the live drain, replay and catch-up) is
+the fix.
 
 Crash-point injection threads one :class:`~repro.sim.faults.FaultInjector`
 through every durability code path: the WAL append (lost / torn /

@@ -101,7 +101,7 @@ class ClusterServer:
         self.backend = backend
         self.router = router if router is not None else ShardRouter(shard_count)
         # Construction config, recorded verbatim in the durability
-        # manifest so ClusterServer.restore can rebuild an identically
+        # manifest so restore_cluster can rebuild an identically
         # configured cluster (hash-based ShardRouter placement is a pure
         # function of shard_count; custom routers are not snapshotted).
         self._config = {
@@ -192,17 +192,6 @@ class ClusterServer:
         if self.durability is None:
             raise RuntimeError("no durability plane attached")
         return self.durability.checkpoint()
-
-    @classmethod
-    def restore(cls, directory: str, simulator: Simulator, rules,
-                **kwargs) -> tuple["ClusterServer", Any]:
-        """Rebuild a cluster from a durability directory: snapshot
-        overlay + WAL tail replay.  See
-        :func:`repro.cluster.durability.restore_cluster` (whose
-        signature this forwards) for the recovery contract; returns
-        ``(server, RecoveryReport)``."""
-        from repro.cluster.durability import restore_cluster
-        return restore_cluster(directory, simulator, rules, **kwargs)
 
     # -- rule lifecycle --------------------------------------------------------
 

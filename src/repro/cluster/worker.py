@@ -41,7 +41,7 @@ from one declaration, :data:`~repro.cluster.shard.REMOTE_CALLS`:
     same order the shared-simulator drain produces.  Ties at exactly
     the drain time resolve as in WAL replay (timers first) — the same
     known limitation documented in :mod:`repro.cluster.durability`,
-    avoided the same way (fractional ingest timestamps).
+    which the suites do not avoid and ROADMAP item 5a is to close.
 
     The worker owns its shard's WAL and snapshot serialization: it
     appends each logged record — the BATCH payload it received — before

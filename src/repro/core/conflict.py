@@ -43,11 +43,9 @@ class ConflictChecker:
     """Pairwise conflict detection against a rule database."""
 
     def __init__(self, database: RuleDatabase, *,
-                 prefer_intervals: bool = True,
-                 use_device_index: bool = True):
+                 prefer_intervals: bool = True):
         self.database = database
         self.prefer_intervals = prefer_intervals
-        self.use_device_index = use_device_index
 
     # -- extraction (step 1) ---------------------------------------------------
 
@@ -56,11 +54,7 @@ class ConflictChecker:
         ``rule`` (excluding the rule itself)."""
         candidates: dict[str, Rule] = {}
         for udn in rule.devices():
-            if self.use_device_index:
-                matches = self.database.rules_for_device(udn)
-            else:
-                matches = self.database.rules_for_device_scan(udn)
-            for match in matches:
+            for match in self.database.rules_for_device(udn):
                 if match.name != rule.name:
                     candidates[match.name] = match
         return sorted(candidates.values(), key=lambda r: r.rule_id)

@@ -18,7 +18,7 @@ class ConsistencyChecker:
 
     Args:
         prefer_intervals: use the interval fast path before Simplex
-            (ablation A1 toggles this).
+            (off, every check runs the two-phase Simplex).
     """
 
     def __init__(self, prefer_intervals: bool = True):

@@ -183,10 +183,6 @@ class RuleDatabase:
         """Indexed same-device extraction (the E2 step-1 query)."""
         return self._by_device.sorted_rules(udn, self._by_name)
 
-    def rules_for_device_scan(self, udn: str) -> list[Rule]:
-        """Unindexed linear scan over all rules — baseline for ablation A2."""
-        return [rule for rule in self._by_name.values() if udn in rule.devices()]
-
     def rules_of_owner(self, owner: str) -> list[Rule]:
         return self._by_owner.sorted_rules(owner, self._by_name)
 

@@ -133,8 +133,8 @@ DEFAULT_MAX_TRACE = 100_000
 time-charts, bounded so long-running homes don't grow without limit."""
 
 # Power-of-two buckets for wake fan-out sizes.  Spelled inline rather
-# than imported: core modules may not import the live obs package (only
-# its no-op facade) — see tools/check_obs_imports.py.
+# than imported: core modules may not import any obs module — see
+# tools/check_obs_imports.py.
 _SIZE_BOUNDS = tuple(float(2 ** i) for i in range(17))
 
 # The per-write stages (sweep, fanout) fire once per ingested value, so
@@ -322,9 +322,6 @@ class WorldState:
             self._mirrored.add(variable)
         else:
             self._mirrored.discard(variable)
-
-    def mirrored_variables(self) -> frozenset[str]:
-        return frozenset(self._mirrored)
 
     # -- mutation (engine-internal) ----------------------------------------------
 
@@ -753,16 +750,16 @@ class RuleEngine:
         return self._columnar.stats if self._columnar is not None else None
 
     def set_telemetry(self, telemetry: Any) -> None:
-        """(Re)bind the observability plane.  Passing ``None`` (or a
-        disabled plane) detaches every instrument, restoring the
-        exact disabled-construction hot path; passing a live plane
-        binds its instruments once so the seams never touch the
-        registry.  Safe mid-stream: telemetry is a pure read-side
-        plane, so toggling it cannot perturb evaluation."""
+        """(Re)bind the observability plane.  Passing ``None`` detaches
+        every instrument, restoring the exact disabled-construction hot
+        path; passing a live plane binds its instruments once so the
+        seams never touch the registry.  Safe mid-stream: telemetry is
+        a pure read-side plane, so toggling it cannot perturb
+        evaluation."""
         self.telemetry = telemetry
         self._sweep_tick = 0
         self._fanout_tick = 0
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             self._spans = telemetry.spans
             self._wheel_wake_counter = telemetry.registry.counter(
                 "wheel.wakes")
@@ -965,9 +962,6 @@ class RuleEngine:
     def reevaluate(self, rule_names: list[str]) -> None:
         """Recompute the truth of the given rules, firing edges."""
         self._evaluate_rules(rule_names)
-
-    def reevaluate_all(self) -> None:
-        self.reevaluate([rule.name for rule in self.database.all_rules()])
 
     def _compute_truth(self, name: str, rule: Rule) -> bool:
         """Current condition truth: the columnar clause counters (kept

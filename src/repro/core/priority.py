@@ -134,15 +134,6 @@ class PriorityManager:
             for order in self._orders.get(device_udn, ())
         )
 
-    def applicable_order(
-        self, device_udn: str, ctx: EvaluationContext
-    ) -> PriorityOrder | None:
-        """First registered order for the device whose context holds now."""
-        for order in self._orders.get(device_udn, ()):
-            if order.applies(ctx):
-                return order
-        return None
-
     def arbitrate(
         self,
         device_udn: str,

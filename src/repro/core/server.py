@@ -24,7 +24,6 @@ engine updates under the canonical naming scheme
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -83,7 +82,6 @@ def build_rule_stack(
     dispatch: Callable,
     prompt_policy: PromptPolicy | None = None,
     conflict_policy: ConflictPolicy | None = None,
-    prefer_intervals: bool = True,
     incremental: bool = True,
     max_trace: int | None = DEFAULT_MAX_TRACE,
     telemetry=None,
@@ -95,8 +93,8 @@ def build_rule_stack(
     database = RuleDatabase()
     priorities = PriorityManager()
     access = AccessPolicy()
-    consistency = ConsistencyChecker(prefer_intervals=prefer_intervals)
-    conflicts = ConflictChecker(database, prefer_intervals=prefer_intervals)
+    consistency = ConsistencyChecker()
+    conflicts = ConflictChecker(database)
     engine = RuleEngine(
         database,
         priorities,
@@ -128,9 +126,8 @@ class RulePipeline:
     prompt → database add → engine activation (and the mirror-image
     removal path).
 
-    ``conflict_log`` keeps the most recent conflict reports, capped like
-    the engine's trace ring (``max_trace``), so a server that churns
-    contested rules does not grow without limit.
+    The pipeline keeps no conflict reports: :meth:`register` returns
+    them to the caller, and they are garbage once the caller drops them.
     """
 
     def __init__(
@@ -150,8 +147,6 @@ class RulePipeline:
         self.consistency = consistency
         self.conflicts = conflicts
         self.conflict_policy = conflict_policy
-        self.conflict_log: deque[ConflictReport] = deque(
-            maxlen=engine.trace.maxlen)
 
     def register(self, rule: Rule, *, validate: bool = True) -> list[ConflictReport]:
         """Run the full registration pipeline; returns conflicts found.
@@ -168,7 +163,6 @@ class RulePipeline:
         else:
             reports = []
         if reports:
-            self.conflict_log.extend(reports)
             self._maybe_prompt_priority(rule, reports)
         self.database.add(rule)
         self.engine.rule_added(rule)
@@ -206,7 +200,6 @@ class HomeServer:
         bus: NetworkBus,
         *,
         name: str = "home-server",
-        prefer_intervals: bool = True,
         prompt_policy: PromptPolicy | None = None,
         conflict_policy: ConflictPolicy | None = None,
         clock_tick_period: float = 60.0,
@@ -221,7 +214,6 @@ class HomeServer:
             dispatch=self._dispatch,
             prompt_policy=prompt_policy,
             conflict_policy=conflict_policy,
-            prefer_intervals=prefer_intervals,
             incremental=incremental,
             max_trace=max_trace,
             telemetry=telemetry,
@@ -318,12 +310,6 @@ class HomeServer:
     @conflict_policy.setter
     def conflict_policy(self, policy: ConflictPolicy | None) -> None:
         self._pipeline.conflict_policy = policy
-
-    @property
-    def conflict_log(self) -> list[ConflictReport]:
-        """The conflict reports the registration pipeline produced, the
-        most recent ``max_trace`` of them, oldest first."""
-        return list(self._pipeline.conflict_log)
 
     def add_priority_order(self, order: PriorityOrder) -> PriorityOrder:
         return self.priorities.add_order(order)

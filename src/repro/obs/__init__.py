@@ -1,44 +1,10 @@
 """Observability plane: metrics registry, span tracing, exposition.
 
-Lazy facade — ``repro.obs`` resolves submodule attributes on first use
-so that importing the no-op seam (:mod:`repro.obs.noop`, the only obs
-module the evaluation core is allowed to touch) never pulls the live
-metrics/tracing machinery in.  Everything here is stdlib-only.
+Callers import the submodules directly: :mod:`repro.obs.metrics`
+(counters, gauges, histograms and their registry),
+:mod:`repro.obs.trace` (stage spans and the :class:`Telemetry` seam) and
+:mod:`repro.obs.prom` (Prometheus text exposition).  Telemetry off is
+``None`` wherever a seam takes one, and the evaluation core imports no
+obs module (``tools/check_obs_imports.py``).  Everything here is
+stdlib-only.
 """
-
-from __future__ import annotations
-
-_EXPORTS = {
-    "Counter": "repro.obs.metrics",
-    "Gauge": "repro.obs.metrics",
-    "Histogram": "repro.obs.metrics",
-    "MetricsRegistry": "repro.obs.metrics",
-    "DEFAULT_LATENCY_BOUNDS_MS": "repro.obs.metrics",
-    "SIZE_BOUNDS": "repro.obs.metrics",
-    "merge_snapshots": "repro.obs.metrics",
-    "STAGES": "repro.obs.trace",
-    "SpanRecord": "repro.obs.trace",
-    "SpanRecorder": "repro.obs.trace",
-    "Telemetry": "repro.obs.trace",
-    "render_prometheus": "repro.obs.prom",
-    "parse_prometheus": "repro.obs.prom",
-    "NOOP_TELEMETRY": "repro.obs.noop",
-    "NoopTelemetry": "repro.obs.noop",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return __all__

@@ -124,12 +124,12 @@ class Telemetry:
     """The live telemetry seam one shard (or engine) carries: a metrics
     registry plus a span recorder writing into it.
 
-    Duck-type twin of :class:`repro.obs.noop.NoopTelemetry`; hot paths
-    guard on ``enabled`` and skip instrumentation when it is False, so
-    the disabled configuration costs one attribute read per seam.
+    Telemetry off is ``None``: hot paths bind their instruments only
+    when the seam is not ``None``, so the disabled configuration costs
+    one ``None`` check per seam.
     """
 
-    __slots__ = ("registry", "spans", "shard", "enabled")
+    __slots__ = ("registry", "spans", "shard")
 
     def __init__(
         self,
@@ -144,4 +144,3 @@ class Telemetry:
             self.registry, clock=clock, max_spans=max_spans
         )
         self.shard = shard
-        self.enabled = True

@@ -144,15 +144,6 @@ class DeviceRegistry:
     def by_category(self, category: str) -> list[DeviceRecord]:
         return [r for r in self._by_udn.values() if r.category == category]
 
-    def scan_by_name(self, friendly_name: str) -> list[DeviceRecord]:
-        """Unindexed linear scan — the baseline for ablation A2/A4."""
-        wanted = friendly_name.lower()
-        return [
-            record
-            for record in self._by_udn.values()
-            if record.friendly_name.lower() == wanted
-        ]
-
     def _records(self, udns: Iterable[str]) -> list[DeviceRecord]:
         return sorted(
             (self._by_udn[udn] for udn in udns if udn in self._by_udn),

@@ -5,13 +5,16 @@ One compact rule population per home covering every engine feature class
 membership, a near-origin time window, events, duration atoms), the
 tv's priority orders (context-free, presence-context and
 time-window-context, so context flips re-arbitrate DENIED rules), a
-seeded fractional-timestamp op-script generator, and drive/observe
-helpers used by both the unit-level recovery tests and the randomized
-restart-equivalence suite.
+seeded op-script generator, and drive/observe helpers used by both the
+unit-level recovery tests and the randomized restart-equivalence suite.
 
-Scripts deliberately use *fractional* timestamps (x.25/x.5/x.75) so no
-ingest batch ever ties with a whole-second timer — see the known
-limitation in :mod:`repro.cluster.durability`.
+Script times advance in steps that are multiples of 0.25 s, so they
+often land on whole seconds: over seeds 0-15 on the four ``HOMES``,
+216 of 848 op times are whole seconds and 4 fall on the 60-s clock-tick
+grid.  The scripts therefore do not keep ingest batches away from
+whole-second timers; an op at exactly a timer's instant is the tie
+documented as a known limitation in :mod:`repro.cluster.durability`,
+which ROADMAP item 5a's (time, phase, seq) order is to close.
 """
 
 from repro.cluster import ClusterServer, restore_cluster
@@ -172,9 +175,9 @@ def devices_of(home):
 
 def script(seed, homes=(HOME,), steps=48, ckpt_every=9):
     """A deterministic op script: ``(t, kind, a, b, c)`` tuples with
-    strictly increasing fractional times, checkpoint markers every
-    ``ckpt_every`` steps, and occasional big jumps so duration atoms
-    (600 s) and the window boundary (3600 s) fire mid-script."""
+    strictly increasing times (multiples of 0.25 s), checkpoint markers
+    every ``ckpt_every`` steps, and occasional big jumps so duration
+    atoms (600 s) and the window boundary (3600 s) fire mid-script."""
     rng = seeded_rng(f"durability-script-{seed}")
     ops = []
     t = 0.0

@@ -1,6 +1,9 @@
 """Unit tests for the ClusterServer facade: placement, routing,
 introspection, priority orders and lifecycle."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster import ClusterServer
@@ -15,7 +18,9 @@ from repro.core.condition import (
 from repro.core.engine import RuleState
 from repro.core.priority import PriorityOrder
 from repro.core.rule import Rule
+from repro.core.server import HomeServer
 from repro.errors import DuplicateRuleError, RuleError, UnknownRuleError
+from repro.net.bus import NetworkBus
 from repro.sim.clock import hhmm
 from repro.sim.events import Simulator
 from repro.solver.linear import LinearConstraint, LinearExpr, Relation
@@ -188,22 +193,27 @@ class TestLifecycle:
         cluster.register_rule(rule)
         assert compiled == [rule.condition.key()]
 
-    def test_shard_conflict_log_keeps_at_most_max_trace(self):
-        """Each contested registration adds a report per rival; a shard
-        keeps only the newest ``max_trace`` of them."""
-        cluster = ClusterServer(Simulator(), shard_count=1, max_trace=3)
+    @pytest.mark.parametrize("facade", ["home-server", "thread-cluster"])
+    def test_registration_keeps_no_conflict_reports(self, facade):
+        """A registration returns its conflict reports and keeps none:
+        once the caller drops them they are garbage, so validated churn
+        does not grow the long-lived heap."""
+        simulator = Simulator()
+        if facade == "home-server":
+            server = HomeServer(simulator, NetworkBus(simulator))
+        else:
+            server = ClusterServer(simulator, shard_count=1, backend="thread")
         try:
-            reported = 0
-            for level in range(6):
-                reported += len(cluster.register_rule(cool_rule(
-                    "home-0001", name=f"cool-{level}", level=level)))
-            (shard,) = cluster.shards
-            assert reported == 15
-            log = list(shard.pipeline.conflict_log)
-            assert len(log) == 3
-            assert [report.new_rule for report in log] == ["cool-5"] * 3
+            server.register_rule(cool_rule("home-0001", name="cool-0"))
+            reports = server.register_rule(
+                cool_rule("home-0001", name="cool-1", level=2))
+            assert [report.existing_rule for report in reports] == ["cool-0"]
+            dropped = weakref.ref(reports[0])
+            del reports
+            gc.collect()
+            assert dropped() is None
         finally:
-            cluster.shutdown()
+            server.shutdown()
 
 
 class TestServing:

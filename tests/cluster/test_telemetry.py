@@ -8,10 +8,11 @@ attribute API as a registry view whose counters survive bus re-creation
 over re-registered shards.
 """
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -228,21 +229,67 @@ def test_obs_import_lint_passes():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_core_modules_never_import_live_obs():
-    """Belt and braces next to the AST lint: the already-imported core
-    modules must not have pulled the live obs machinery in."""
-    import repro.core.engine  # noqa: F401  (representative import)
+def test_obs_import_lint_flags_every_obs_module(tmp_path):
+    """No obs module is exempt: a core module importing any of them,
+    the package itself included, is flagged."""
+    root = Path(__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location(
+        "check_obs_imports", root / "tools" / "check_obs_imports.py")
+    lint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint)
+    module = tmp_path / "uses_obs.py"
+    module.write_text(
+        "import repro.obs.noop\n"
+        "from repro.obs.noop import NOOP_TELEMETRY\n"
+        "from repro.obs import trace\n"
+        "def lazy():\n"
+        "    import repro.obs.metrics\n"
+    )
+    assert sorted(lint.violations_in(module)) == [
+        "uses_obs.py:1: import repro.obs.noop",
+        "uses_obs.py:2: from repro.obs.noop import ...",
+        "uses_obs.py:3: from repro.obs import ...",
+    ]
 
-    core_modules = [name for name in sys.modules if
-                    name.startswith("repro.core")]
-    assert core_modules
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name in core_modules:
-            module = sys.modules[name]
-            source_file = getattr(module, "__file__", None)
-            if source_file is None:
-                continue
-            source = Path(source_file).read_text()
-            assert "from repro.obs.metrics" not in source, name
-            assert "from repro.obs.trace" not in source, name
+
+_IMPORT_CORE_WITHOUT_OBS = """
+import importlib
+import pkgutil
+import sys
+
+
+class RefuseObs:
+    def find_spec(self, name, path=None, target=None):
+        if name == "repro.obs" or name.startswith("repro.obs."):
+            raise ImportError(f"refused: {name}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseObs())
+import repro.core
+
+for info in pkgutil.iter_modules(repro.core.__path__, "repro.core."):
+    importlib.import_module(info.name)
+print(" ".join(sorted(name for name in sys.modules
+                      if name.startswith("repro.core."))))
+"""
+
+
+def test_core_modules_never_import_live_obs():
+    """Every core module imports in a fresh interpreter whose import
+    system refuses ``repro.obs*``, so a transitive import (which the
+    AST lint cannot see) fails here too."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CORE_WITHOUT_OBS],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    imported = set(result.stdout.split())
+    expected = {f"repro.core.{path.stem}"
+                for path in (root / "src" / "repro" / "core").glob("*.py")
+                if path.stem != "__init__"}
+    assert expected <= imported

@@ -67,7 +67,7 @@ class TestRuleDatabase:
             db.add(make_rule(f"r{i}", "Tom", in_room("Tom"),
                              action(device=f"dev-{i % 3}")))
         assert {r.name for r in db.rules_for_device("dev-1")} == {
-            r.name for r in db.rules_for_device_scan("dev-1")
+            r.name for r in db.all_rules() if "dev-1" in r.devices()
         }
 
     def test_owner_index(self):
@@ -198,12 +198,17 @@ class TestConflictChecker:
             "emily-tv", "Emily", in_room("Emily"),
             action(device="tv-1", act="ShowProgram", keyword="movie"),
         )
-        indexed = ConflictChecker(db, use_device_index=True)
-        scanned = ConflictChecker(db, use_device_index=False)
-        assert (
-            [r.existing_rule for r in indexed.find_conflicts(emily)]
-            == [r.existing_rule for r in scanned.find_conflicts(emily)]
-        )
+        checker = ConflictChecker(db)
+        # The reference scans every rule instead of the device index.
+        scanned = [
+            report.existing_rule
+            for rule in sorted(db.all_rules(), key=lambda r: r.rule_id)
+            if rule.enabled and rule.devices() & emily.devices()
+            and (report := checker.conflicts_with(emily, rule)) is not None
+        ]
+        assert scanned == ["alan-tv"]
+        assert [r.existing_rule for r in checker.find_conflicts(emily)] \
+            == scanned
 
     def test_paper_e2_shape_two_inequalities_each(self):
         """E2: each condition is a conjunction of 2 inequalities; the

@@ -40,7 +40,6 @@ class TestRegistrationPipeline:
         )
         assert len(outcome.conflicts) == 1
         assert outcome.conflicts[0].existing_rule == "alan-ac"
-        assert stack.server.conflict_log
 
     def test_identical_actions_do_not_conflict(self, stack):
         stack.session("Alan").submit(

@@ -1,7 +1,6 @@
-"""Span recorder semantics: stage histograms, ring, clock, no-op twin."""
+"""Span recorder semantics: stage histograms, ring, clock."""
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.noop import NOOP_TELEMETRY
 from repro.obs.trace import STAGES, SpanRecord, SpanRecorder, Telemetry
 
 
@@ -43,34 +42,8 @@ def test_stage_taxonomy_is_the_documented_pipeline():
 
 def test_telemetry_defaults():
     telemetry = Telemetry(shard=3)
-    assert telemetry.enabled
     assert telemetry.shard == 3
     assert telemetry.spans.registry is telemetry.registry
-
-
-def test_noop_telemetry_is_inert_and_disabled():
-    assert not NOOP_TELEMETRY.enabled
-    token = NOOP_TELEMETRY.spans.span_begin("batch", home="h", size=4)
-    assert NOOP_TELEMETRY.spans.span_end(token, size=9) == 0.0
-    assert NOOP_TELEMETRY.spans.recent() == []
-    registry = NOOP_TELEMETRY.registry
-    registry.counter("x").inc(5)
-    registry.gauge("y").set(2.0)
-    registry.histogram("z").observe(1.0)
-    assert registry.counter("x").value == 0
-    assert registry.histogram("z").percentile(0.5) is None
-    assert registry.snapshot() == {
-        "counters": {}, "gauges": {}, "histograms": {},
-    }
-
-
-def test_noop_module_imports_nothing():
-    import repro.obs.noop as noop
-
-    source = open(noop.__file__).read()
-    body = [line for line in source.splitlines()
-            if line.startswith(("import ", "from "))]
-    assert body == ["from __future__ import annotations"]
 
 
 def test_recent_builds_records_in_ring_order():

@@ -155,7 +155,8 @@ class TestRegistry:
         registry = DeviceRegistry()
         for i in range(20):
             registry.add(self._record(name=f"lamp-{i % 3}", udn=f"u{i}"))
-        assert {r.udn for r in registry.scan_by_name("lamp-1")} == {
+        assert {r.udn for r in registry.all()
+                if r.friendly_name.lower() == "lamp-1"} == {
             r.udn for r in registry.by_name("lamp-1")
         }
 

@@ -2,10 +2,8 @@
 """Lint: the evaluation core must stay importable without the obs plane.
 
 Walks every module under ``src/repro/core/`` and fails if any imports
-the ``repro.obs`` package at module top level — except the no-op facade
-``repro.obs.noop``, which deliberately imports nothing and is the one
-obs module core code may depend on.  Core modules instead take a
-duck-typed ``telemetry`` object (or None) at construction, so the
+a ``repro.obs`` module at module top level.  Core modules instead take
+a duck-typed ``telemetry`` object (or None) at construction, so the
 telemetry subsystem can be absent, stubbed, or broken without taking
 rule evaluation down with it.
 
@@ -19,12 +17,10 @@ import sys
 from pathlib import Path
 
 CORE = Path(__file__).resolve().parent.parent / "src" / "repro" / "core"
-ALLOWED = "repro.obs.noop"
 
 
 def violations_in(path: Path) -> list[str]:
-    """Top-level (non-function-local) obs imports in one module, minus
-    the allowed no-op facade."""
+    """Top-level (non-function-local) obs imports in one module."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found: list[str] = []
     # Module top level only: an import inside a function body is lazy
@@ -43,11 +39,11 @@ def violations_in(path: Path) -> list[str]:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 name = alias.name
-                if name.startswith("repro.obs") and name != ALLOWED:
+                if name.startswith("repro.obs"):
                     found.append(f"{path.name}:{node.lineno}: import {name}")
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
-            if module.startswith("repro.obs") and module != ALLOWED:
+            if module.startswith("repro.obs"):
                 found.append(
                     f"{path.name}:{node.lineno}: from {module} import ..."
                 )
@@ -60,7 +56,7 @@ def main() -> int:
         problems.extend(violations_in(path))
     if problems:
         print("repro.core must not import the obs package at module top "
-              f"level (only the no-op facade {ALLOWED} is allowed):")
+              "level:")
         for problem in problems:
             print(f"  {problem}")
         return 1
