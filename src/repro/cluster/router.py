@@ -168,15 +168,18 @@ class ShardRouter:
         to their condition footprint when it names exactly one home.
         """
         label = f"rule {rule_name!r}" if rule_name else "rule"
-        anchors = {self.key_of(udn) for udn in devices}
+        key_of = self.key_of
+        anchors = {key_of(udn) for udn in devices}
         anchors.update(
-            self.key_of(v) for v in until_variables if not is_ambient(v)
+            key_of(v) for v in until_variables if not is_ambient(v)
         )
-        condition_keys = {
-            self.key_of(variable)
+        # Each condition variable's home key, ambient ones left out.
+        keys = {
+            variable: key_of(variable)
             for variable in variables
             if not is_ambient(variable)
         }
+        condition_keys = set(keys.values())
         if len(anchors) > 1:
             raise RuleError(
                 f"{label} anchors to multiple homes "
@@ -201,9 +204,7 @@ class ShardRouter:
                 "cannot derive a shard placement"
             )
         mirrors = frozenset(
-            variable
-            for variable in variables
-            if not is_ambient(variable) and self.key_of(variable) != home
+            variable for variable, key in keys.items() if key != home
         )
         return PlacementPlan(home=home, mirrors=mirrors)
 

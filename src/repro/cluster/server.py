@@ -205,11 +205,11 @@ class ClusterServer:
         until variables and action devices.  Raises
         :class:`~repro.errors.RuleError` when the *anchor* (actions +
         until) spans homes — only condition variables may."""
-        variables = set(rule.condition.referenced_variables())
+        variables = rule.condition.referenced_variables()
         until_variables: frozenset[str] = frozenset()
         if rule.until is not None:
             until_variables = frozenset(rule.until.referenced_variables())
-            variables |= until_variables
+            variables = variables | until_variables
         return self.router.placement_plan(
             variables, rule.devices(),
             until_variables=until_variables, rule_name=rule.name,
@@ -316,7 +316,7 @@ class ClusterServer:
         if index is None:
             raise UnknownRuleError(f"no rule named {name!r} in the cluster")
         self.bus.flush(shard=index)  # apply what the rule should still see
-        members = self._rules_of_home.get(self._home_of_rule[name])
+        members = self._rules_of_home.get(self._home_of_rule.pop(name))
         if members is not None:
             members.discard(name)
         rule = self.shards[index].remove_rule(name)

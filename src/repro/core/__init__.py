@@ -8,7 +8,8 @@ This package is the paper's home-server brain (Fig. 3):
   sentences compile into ("the rule execution module does not execute
   rules by interpreting CADEL descriptions" — Sect. 4.1).
 * :mod:`repro.core.plan` — compiled condition plans (deduplicated atom
-  slots + DNF clause bitmasks), the incremental-evaluation IR.
+  slots + DNF clause bitmasks), the incremental-evaluation IR; each
+  also carries the clause bounds boxes the registration checks read.
 * :mod:`repro.core.database` — indexed rule storage (device, owner,
   variable and variable-watch indexes; refcounted compiled plans).
 * :mod:`repro.core.columnar` — the incremental engine's evaluation

@@ -57,19 +57,28 @@ class ActionSpec:
         """Settings as the argument dict passed to the UPnP invoke."""
         return {setting.parameter: setting.value for setting in self.settings}
 
-    def same_effect_as(self, other: "ActionSpec") -> bool:
-        """True when both specs drive the device identically — the paper
-        only treats *different* actions on the same device as a conflict."""
-        return (
-            self.device_udn == other.device_udn
-            and self.service_id == other.service_id
-            and self.action_name == other.action_name
-            and sorted(self.settings, key=lambda s: s.parameter)
-            == sorted(other.settings, key=lambda s: s.parameter)
-        )
+    def effect(self) -> tuple:
+        """What the command does to its device, settings in parameter
+        order: two specs on one device drive it identically iff their
+        effects are equal — the paper only treats *different* actions on
+        the same device as a conflict."""
+        settings = self.settings
+        settings = tuple(sorted(settings, key=_parameter)) \
+            if len(settings) > 1 else tuple(settings)
+        return (self.service_id, self.action_name, settings)
 
     def describe(self) -> str:
-        text = f"{self.verb_text or self.action_name} the {self.device_name}"
-        if self.settings:
-            text += " with " + " and ".join(s.describe() for s in self.settings)
+        """The command as text, built once per spec: decision traces
+        keep this string, not the spec."""
+        text = self.__dict__.get("_memo_describe")
+        if text is None:
+            text = f"{self.verb_text or self.action_name} the {self.device_name}"
+            if self.settings:
+                text += " with " + " and ".join(
+                    s.describe() for s in self.settings)
+            object.__setattr__(self, "_memo_describe", text)
         return text
+
+
+def _parameter(setting: Setting) -> str:
+    return setting.parameter

@@ -25,11 +25,12 @@ point verifying its candidates and flipping the changed ones:
 
 * :meth:`ColumnarState.numeric_write` — single-threshold numeric atoms
   live in parallel sorted arrays of ``(threshold, coef, const, bound,
-  relation)``; a write ``old → new`` selects the guard-widened bisect
+  relation)``, which rule churn updates in place (:class:`_VarIndex`);
+  a write ``old → new`` selects the guard-widened bisect
   window and verifies **all** candidates in one numpy expression that
   replicates :meth:`~repro.solver.linear.LinearConstraint.satisfied_by`
-  bit for bit.  Equalities and multi-variable constraints are rechecked
-  on every write of a variable they read;
+  bit for bit.  Equalities, multi-variable constraints and NaN
+  thresholds are rechecked on every write of a variable they read;
 * :meth:`ColumnarState.discrete_write` — discrete atoms keyed by value
   (``x == v`` and ``x != v`` alike), so only atoms naming the old or the
   new value are checked;
@@ -48,7 +49,7 @@ scalar loop — the numpy round-trip costs more than it saves there.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -158,61 +159,72 @@ class ColumnarStats:
 
 
 class _VarIndex:
-    """Threshold-indexed numeric atoms of one variable (mutable side).
+    """Threshold-indexed numeric atoms of one variable.
 
-    ``entries`` maps atom slot → ``(threshold, coef, const, bound,
-    code)``; ``recheck`` holds slots with no single-threshold structure
-    (multi-variable constraints, equalities).  ``guard`` is the largest
-    comparison guard seen; it never shrinks, which can only widen
-    candidate windows (a superset is sound).
-    ``snapshot`` caches the sorted parallel arrays and is dropped on any
-    mutation.
-    """
+    Single-threshold atoms live in parallel columns — ``thresholds``,
+    ``aids``, ``coefs``, ``consts``, ``bounds``, ``codes`` — sorted by
+    ``(threshold, aid)``.  Registration inserts and removal deletes one
+    entry in place, found by bisecting on that pair, so rule churn never
+    re-sorts a column.  The columns are mutated without a copy because
+    no sweep holds them across a mutation: a sweep only flips truth and
+    collects woken rules, and it returns before any dispatch (and so any
+    re-entrant registration) runs.
 
-    __slots__ = ("entries", "recheck", "guard", "snapshot")
-
-    def __init__(self) -> None:
-        self.entries: dict[int, tuple[float, float, float, float, int]] = {}
-        self.recheck: set[int] = set()
-        self.guard = 0.0
-        self.snapshot: _VarSnapshot | None = None
-
-    @property
-    def empty(self) -> bool:
-        return not (self.entries or self.recheck)
-
-
-class _VarSnapshot:
-    """Immutable sorted-column view of one variable's numeric atoms.
-
-    The parallel arrays own their storage (copies, never buffer views),
-    so index churn can grow the live columns without invalidating a
-    snapshot mid-sweep.  Their numpy twins are built on the first
-    window large enough to sweep vectorized (:meth:`np_arrays`): every
-    rule churn rebuilds the snapshots it touches, and most are never
-    swept that way.
+    ``recheck_aids`` (sorted) holds atoms with no single-threshold
+    structure (multi-variable constraints, equalities, NaN thresholds).  ``guard`` is
+    the largest comparison guard seen; it never shrinks, which can only
+    widen candidate windows (a superset is sound).  The numpy copies of
+    the columns (:meth:`np_arrays`) are built at the first window large
+    enough to sweep vectorized and dropped on any change.
     """
 
     __slots__ = ("thresholds", "aids", "coefs", "consts", "bounds",
-                 "codes", "recheck_aids", "_np_arrays")
+                 "codes", "recheck_aids", "guard", "_np_arrays")
 
-    def __init__(self, index: _VarIndex) -> None:
-        ordered = sorted(
-            (entry[0], aid, entry[1], entry[2], entry[3], entry[4])
-            for aid, entry in index.entries.items()
-        )
-        self.thresholds = [row[0] for row in ordered]
-        self.aids = [row[1] for row in ordered]
-        self.coefs = [row[2] for row in ordered]
-        self.consts = [row[3] for row in ordered]
-        self.bounds = [row[4] for row in ordered]
-        self.codes = [row[5] for row in ordered]
-        self.recheck_aids = sorted(index.recheck)
+    def __init__(self) -> None:
+        self.thresholds: list[float] = []
+        self.aids: list[int] = []
+        self.coefs: list[float] = []
+        self.consts: list[float] = []
+        self.bounds: list[float] = []
+        self.codes: list[int] = []
+        self.recheck_aids: list[int] = []
+        self.guard = 0.0
+        self._np_arrays = None
+
+    @property
+    def empty(self) -> bool:
+        return not (self.aids or self.recheck_aids)
+
+    def _position(self, threshold: float, aid: int) -> int:
+        """Where ``(threshold, aid)`` sits in the sorted columns."""
+        lo = bisect_left(self.thresholds, threshold)
+        hi = bisect_right(self.thresholds, threshold, lo)
+        return bisect_left(self.aids, aid, lo, hi)
+
+    def insert(self, aid: int, threshold: float, coef: float, const: float,
+               bound: float, code: int, guard: float) -> None:
+        i = self._position(threshold, aid)
+        self.thresholds.insert(i, threshold)
+        self.aids.insert(i, aid)
+        self.coefs.insert(i, coef)
+        self.consts.insert(i, const)
+        self.bounds.insert(i, bound)
+        self.codes.insert(i, code)
+        if guard > self.guard:
+            self.guard = guard
+        self._np_arrays = None
+
+    def delete(self, aid: int, threshold: float) -> None:
+        i = self._position(threshold, aid)
+        for column in (self.thresholds, self.aids, self.coefs, self.consts,
+                       self.bounds, self.codes):
+            del column[i]
         self._np_arrays = None
 
     def np_arrays(self) -> tuple:
         """``(aids, coefs, consts, bounds, codes)`` as numpy arrays,
-        built on first use."""
+        built on first use after a change."""
         arrays = self._np_arrays
         if arrays is None:
             arrays = self._np_arrays = (
@@ -393,7 +405,6 @@ class ColumnarState:
         constraint = atom.constraint
         if descriptor is not None:
             variable, _kind, threshold, guard = descriptor
-            index = self._num_index.setdefault(variable, _VarIndex())
             relation = constraint.relation
             if relation is Relation.LE:
                 code = _REL_LE
@@ -401,33 +412,32 @@ class ColumnarState:
                 code = _REL_LT
             else:  # EQ never reaches here; GE/GT fall through to EQ in
                 code = _REL_EQ  # satisfied_by, so replicate that.
-            coefficient = constraint.expr.coefficients[0][1]
-            index.entries[aid] = (
-                threshold, coefficient, constraint.expr.constant,
-                constraint.bound, code,
+            index = self._num_index.get(variable)
+            if index is None:
+                index = self._num_index[variable] = _VarIndex()
+            index.insert(
+                aid, threshold, constraint.expr.coefficients[0][1],
+                constraint.expr.constant, constraint.bound, code, guard,
             )
-            if guard > index.guard:
-                index.guard = guard
-            index.snapshot = None
         else:
             for variable in atom.referenced_variables():
-                index = self._num_index.setdefault(variable, _VarIndex())
-                index.recheck.add(aid)
-                index.snapshot = None
+                index = self._num_index.get(variable)
+                if index is None:
+                    index = self._num_index[variable] = _VarIndex()
+                insort(index.recheck_aids, aid)
 
     def _unindex_numeric(self, aid: int, atom: NumericAtom) -> None:
         descriptor = numeric_threshold(atom)
         if descriptor is not None:
-            variables = (descriptor[0],)
-        else:
-            variables = tuple(atom.referenced_variables())
-        for variable in variables:
-            index = self._num_index.get(variable)
-            if index is None:
-                continue
-            index.entries.pop(aid, None)
-            index.recheck.discard(aid)
-            index.snapshot = None
+            variable = descriptor[0]
+            index = self._num_index[variable]
+            index.delete(aid, descriptor[2])
+            if index.empty:
+                del self._num_index[variable]
+            return
+        for variable in atom.referenced_variables():
+            index = self._num_index[variable]
+            index.recheck_aids.remove(aid)
             if index.empty:
                 del self._num_index[variable]
 
@@ -562,14 +572,11 @@ class ColumnarState:
         index = self._num_index.get(variable)
         if index is None:
             return woken
-        snapshot = index.snapshot
-        if snapshot is None:
-            snapshot = index.snapshot = _VarSnapshot(index)
         # Generic shapes re-evaluate through the atom (multi-variable
         # constraints need other values).
-        if snapshot.recheck_aids:
-            self._verify(snapshot.recheck_aids, world, woken)
-        thresholds = snapshot.thresholds
+        if index.recheck_aids:
+            self._verify(index.recheck_aids, world, woken)
+        thresholds = index.thresholds
         if not thresholds:
             return woken
         # NaN / first write: compare against every threshold — NaN breaks
@@ -586,20 +593,20 @@ class ColumnarState:
             return woken
         if self.use_numpy and count >= self.vector_min:
             self.stats.vector_sweeps += 1
-            self._vector_window(snapshot, lo_i, hi_i, new, woken)
+            self._vector_window(index, lo_i, hi_i, new, woken)
         else:
             self.stats.scalar_sweeps += 1
-            self._scalar_window(snapshot, lo_i, hi_i, new, woken)
+            self._scalar_window(index, lo_i, hi_i, new, woken)
         return woken
 
-    def _scalar_window(self, snapshot: _VarSnapshot, lo_i: int, hi_i: int,
+    def _scalar_window(self, index: _VarIndex, lo_i: int, hi_i: int,
                        value: float, woken: set[str]) -> None:
         truth = self._atom_truth
-        aids = snapshot.aids
-        coefs = snapshot.coefs
-        consts = snapshot.consts
-        bounds = snapshot.bounds
-        codes = snapshot.codes
+        aids = index.aids
+        coefs = index.coefs
+        consts = index.consts
+        bounds = index.bounds
+        codes = index.codes
         for i in range(lo_i, hi_i):
             lhs = consts[i] + coefs[i] * value
             code = codes[i]
@@ -613,9 +620,9 @@ class ColumnarState:
             if bool(truth[aid]) != atom_truth:
                 self._flip_atom(aid, atom_truth, woken)
 
-    def _vector_window(self, snapshot: _VarSnapshot, lo_i: int, hi_i: int,
+    def _vector_window(self, index: _VarIndex, lo_i: int, hi_i: int,
                        value: float, woken: set[str]) -> None:
-        aids, coefs, consts, bounds, codes = snapshot.np_arrays()
+        aids, coefs, consts, bounds, codes = index.np_arrays()
         aids = aids[lo_i:hi_i]
         lhs = coefs[lo_i:hi_i] * value + consts[lo_i:hi_i]
         bounds = bounds[lo_i:hi_i]

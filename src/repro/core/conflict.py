@@ -11,16 +11,22 @@ A pair conflicts when both conditions can hold simultaneously **and**
 the two rules would drive the device differently (identical effects are
 harmless, which the paper implies by defining conflict as performing
 "different actions to the same device").
+
+Steps 2 and 3 run on the clause boxes of the compiled plans
+(:mod:`repro.core.satisfiability`): each registered condition's boxes
+are built once, and a pair check merges boxes instead of concatenating
+and re-folding both conjunctions.  A check computes the new rule's
+boxes, driving devices and effects once, and each extracted rule's
+once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.database import RuleDatabase
 from repro.core.rule import Rule
-from repro.core.satisfiability import conditions_jointly_satisfiable
-from repro.errors import RuleError
+from repro.core.satisfiability import ClauseBox, some_boxes_meet
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,25 @@ class ConflictReport:
         )
 
 
+_Drives = dict[str, tuple[str, list[tuple]]]
+
+
+def _drives(rule: Rule) -> _Drives:
+    """The devices a rule drives: per device, the name it shows in
+    dialogs and the effects of the rule's specs on it, primary first."""
+    action = rule.action
+    drives = {action.device_udn: (action.device_name, [action.effect()])}
+    fallback = rule.fallback
+    if fallback is not None:
+        entry = drives.get(fallback.device_udn)
+        if entry is None:
+            drives[fallback.device_udn] = (
+                fallback.device_name, [fallback.effect()])
+        else:
+            entry[1].append(fallback.effect())
+    return drives
+
+
 class ConflictChecker:
     """Pairwise conflict detection against a rule database."""
 
@@ -51,9 +76,15 @@ class ConflictChecker:
 
     def extract_same_device_rules(self, rule: Rule) -> list[Rule]:
         """Registered rules sharing at least one target device with
-        ``rule`` (excluding the rule itself)."""
+        ``rule`` (excluding the rule itself), in ``rule_id`` order."""
+        udns = rule.devices()
+        if len(udns) == 1:
+            # One bucket, which the index already keeps in rule_id order.
+            return [match for match in
+                    self.database.rules_for_device(next(iter(udns)))
+                    if match.name != rule.name]
         candidates: dict[str, Rule] = {}
-        for udn in rule.devices():
+        for udn in udns:
             for match in self.database.rules_for_device(udn):
                 if match.name != rule.name:
                     candidates[match.name] = match
@@ -63,69 +94,56 @@ class ConflictChecker:
 
     def conflicts_with(self, new_rule: Rule, existing: Rule) -> ConflictReport | None:
         """Check one pair; returns a report or None."""
-        shared = self._shared_devices(new_rule, existing)
-        if not shared:
-            return None
-        if not self._effects_differ(new_rule, existing, shared):
-            return None
-        if not conditions_jointly_satisfiable(
-            new_rule.condition,
-            existing.condition,
-            prefer_intervals=self.prefer_intervals,
-        ):
-            return None
-        udn, name = shared[0]
-        return ConflictReport(
-            new_rule=new_rule.name,
-            existing_rule=existing.name,
-            device_udn=udn,
-            device_name=name,
-        )
+        return self._check(
+            new_rule, _drives(new_rule),
+            self.database.plan_for(new_rule.condition).boxes(), existing)
 
     def find_conflicts(self, new_rule: Rule) -> list[ConflictReport]:
         """Full registration-time check of ``new_rule`` against the DB."""
+        drives = _drives(new_rule)
+        boxes = self.database.plan_for(new_rule.condition).boxes()
         reports = []
         for existing in self.extract_same_device_rules(new_rule):
             if not existing.enabled:
                 continue
-            report = self.conflicts_with(new_rule, existing)
+            report = self._check(new_rule, drives, boxes, existing)
             if report is not None:
                 reports.append(report)
         return reports
 
-    # -- helpers ---------------------------------------------------------------------
-
-    @staticmethod
-    def _specs_for(rule: Rule, udn: str):
-        specs = []
-        if rule.action.device_udn == udn:
-            specs.append(rule.action)
-        if rule.fallback is not None and rule.fallback.device_udn == udn:
-            specs.append(rule.fallback)
-        return specs
-
-    def _shared_devices(self, a: Rule, b: Rule) -> list[tuple[str, str]]:
-        """UDNs driven by both rules, with a display name for dialogs.
-
-        Only *driving* actions (primary/fallback) count — a stop_action
-        that merely reverts a device is not a competing use.
-        """
-        a_udns = {a.action.device_udn}
-        if a.fallback is not None:
-            a_udns.add(a.fallback.device_udn)
-        shared = []
-        for udn in sorted(a_udns):
-            b_specs = self._specs_for(b, udn)
-            if b_specs:
-                name = self._specs_for(a, udn)[0].device_name
-                shared.append((udn, name))
-        return shared
-
-    def _effects_differ(self, a: Rule, b: Rule,
-                        shared: list[tuple[str, str]]) -> bool:
-        for udn, _ in shared:
-            for spec_a in self._specs_for(a, udn):
-                for spec_b in self._specs_for(b, udn):
-                    if not spec_a.same_effect_as(spec_b):
-                        return True
-        return False
+    def _check(self, new_rule: Rule, drives: _Drives,
+               boxes: tuple[ClauseBox, ...],
+               existing: Rule) -> ConflictReport | None:
+        # Only *driving* actions (primary/fallback) count — a stop_action
+        # that merely reverts a device is not a competing use.
+        shared: list[str] = []
+        differ = False
+        for spec in (existing.action, existing.fallback):
+            if spec is None:
+                continue
+            udn = spec.device_udn
+            ours = drives.get(udn)
+            if ours is None:
+                continue
+            if udn not in shared:
+                shared.append(udn)
+            if not differ:
+                effect = spec.effect()
+                for our_effect in ours[1]:
+                    if effect != our_effect:
+                        differ = True
+                        break
+        if not differ:
+            return None  # no shared device, or each driven identically
+        if not some_boxes_meet(
+            boxes, self.database.plan_of(existing.name).boxes(),
+            prefer_intervals=self.prefer_intervals,
+        ):
+            return None
+        udn = min(shared)
+        return ConflictReport(
+            new_rule=new_rule.name,
+            existing_rule=existing.name,
+            device_udn=udn,
+            device_name=drives[udn][0],
+        )

@@ -8,7 +8,12 @@ referenced variable, all with presorted cached buckets.
 
 It also compiles every registered condition once into a refcounted
 :class:`~repro.core.plan.CompiledPlan`, shared between rules with equal
-conditions, and keeps the **variable-watch index**: rules the engine
+conditions.  A validated registration stages the plan first
+(:meth:`RuleDatabase.stage_plan`), so its consistency and conflict
+checks read the clause boxes of the very plan that :meth:`add` then
+takes; a registration that fails leaves nothing cached
+(:meth:`RuleDatabase.unstage_plan`).  The database also keeps the
+**variable-watch index**: rules the engine
 must wake on *any* referenced-variable change (stateful duration plans
 and plans with volatile time/event atoms).  Which atoms a write can
 flip is the engine's concern — its
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.core.condition import Condition
 from repro.core.plan import CompiledPlan, compile_condition
 from repro.core.rule import Rule
 from repro.errors import DuplicateRuleError, UnknownRuleError
@@ -141,12 +147,30 @@ class RuleDatabase:
         self._release_plan(plan)
         return rule
 
-    def _acquire_plan(self, rule: Rule) -> CompiledPlan:
-        key = rule.condition.key()
+    def plan_for(self, condition: Condition) -> CompiledPlan:
+        """The cached plan of an equal condition, else a fresh compile
+        that is not cached."""
+        plan = self._plans.get(condition.key())
+        return plan if plan is not None else compile_condition(condition)
+
+    def stage_plan(self, condition: Condition) -> CompiledPlan:
+        """The plan :meth:`add` will give a rule with ``condition``: the
+        cached one, or a fresh compile cached until a rule takes it or
+        :meth:`unstage_plan` forgets it."""
+        key = condition.key()
         plan = self._plans.get(key)
         if plan is None:
-            plan = compile_condition(rule.condition)
-            self._plans[key] = plan
+            plan = self._plans[key] = compile_condition(condition)
+        return plan
+
+    def unstage_plan(self, plan: CompiledPlan) -> None:
+        """Forget a staged plan that no registered rule took."""
+        if plan.source_key not in self._plan_refs:
+            self._plans.pop(plan.source_key, None)
+
+    def _acquire_plan(self, rule: Rule) -> CompiledPlan:
+        plan = self.stage_plan(rule.condition)
+        key = plan.source_key
         self._plan_refs[key] = self._plan_refs.get(key, 0) + 1
         return plan
 

@@ -86,15 +86,20 @@ produce identical truth values, states, holders and traces.
 Decision trace
 --------------
 
-Every decision lands in a capped ring (``max_trace``) as a plain tuple
+Every decision lands in a capped ring (``max_trace``) as one flat tuple
 ``(time, kind, rule, device, detail)``.  A fire/deny/preempt/fallback
-detail keeps its immutable pieces — the granted ``ActionSpec``, the
-winner's name, the priority order's text (orders are mutable, so their
-text is taken at decision time) — and is formatted only when read:
-:attr:`RuleEngine.trace` is a :class:`TraceView` yielding
-:class:`TraceEntry` objects, and :meth:`RuleEngine.runtime_snapshot`
-writes the formatted strings, so a decision costs one tuple on the
-dispatch path and the text is what an eager formatter would have made.
+decision records ``None`` as its detail and appends the pieces its text
+is made of — the granted action's text (built once per
+``ActionSpec``), the winner's name, the priority order's text (orders
+are mutable, so their text is taken at decision time) — and is
+formatted only when read.  A record therefore holds only strings,
+numbers and ``None``, and CPython's cyclic collector stops tracking
+such a tuple at its first pass over it, so a full ring adds nothing to
+the collector's walks.  :attr:`RuleEngine.trace` is a
+:class:`TraceView` yielding :class:`TraceEntry` objects, and
+:meth:`RuleEngine.runtime_snapshot` writes the formatted strings, so a
+decision costs one tuple on the dispatch path and the text is what an
+eager formatter would have made.
 """
 
 from __future__ import annotations
@@ -181,21 +186,21 @@ class TraceEntry:
         return f"t={self.time:9.1f} {self.kind:<8} {self.rule}{device}{detail}"
 
 
-def _fire_text(spec: ActionSpec, order_text: str | None) -> str:
-    text = spec.describe()
-    return text if order_text is None else f"{text} (order: {order_text})"
+def _fire_text(action_text: str, order_text: str | None) -> str:
+    if order_text is None:
+        return action_text
+    return f"{action_text} (order: {order_text})"
 
 
-def _fallback_text(fallback: ActionSpec, device_name: str | None = None,
+def _fallback_text(fallback_text: str, device_name: str | None = None,
                    winner: str | None = None) -> str:
     if winner is None:
-        return f"preempted; trying {fallback.describe()}"
-    return (f"lost {device_name!r} to {winner!r}; "
-            f"trying {fallback.describe()}")
+        return f"preempted; trying {fallback_text}"
+    return f"lost {device_name!r} to {winner!r}; trying {fallback_text}"
 
 
 #: How a decision of each structured kind turns its detail pieces into
-#: text.  Arbitration records the pieces (the granted ActionSpec, the
+#: text.  Arbitration records the pieces (the granted action's text, the
 #: winner's name, the order's text) and the text is built on read.
 _DETAIL_TEXT: dict[str, Callable[..., str]] = {
     "fire": _fire_text,
@@ -206,11 +211,12 @@ _DETAIL_TEXT: dict[str, Callable[..., str]] = {
 
 
 def _entry(record: tuple) -> TraceEntry:
-    """A ring record ``(time, kind, rule, device, detail)`` as the entry
-    it reads as; a tuple detail holds the pieces of a structured kind."""
-    time, kind, rule, device, detail = record
-    if type(detail) is tuple:
-        detail = _DETAIL_TEXT[kind](*detail)
+    """A ring record ``(time, kind, rule, device, detail, *pieces)`` as
+    the entry it reads as; a ``None`` detail is made from the pieces of
+    a structured kind."""
+    time, kind, rule, device, detail = record[:5]
+    if detail is None:
+        detail = _DETAIL_TEXT[kind](*record[5:])
     return TraceEntry(time, kind, rule, device, detail)
 
 
@@ -485,22 +491,24 @@ class RuleEngine:
 
     def _index_rule(self, rule: Rule) -> None:
         plan = self.database.plan_of(rule.name)
-        for atom in plan.atoms:
-            if isinstance(atom, DurationAtom):
-                self._held_atom_rules.setdefault(atom.key(), set()).add(rule.name)
+        if plan.has_duration:
+            for atom in plan.atoms:
+                if isinstance(atom, DurationAtom):
+                    self._held_atom_rules.setdefault(
+                        atom.key(), set()).add(rule.name)
         if not self.incremental:
             return
         self._plans[rule.name] = plan
-        watch = set(plan.variables)
+        watch = plan.variables
         if rule.until is not None:
             self._has_until.add(rule.name)
-            watch |= rule.until.referenced_variables()
-        self._watch_vars[rule.name] = frozenset(watch)
+            watch = watch | rule.until.referenced_variables()
+        self._watch_vars[rule.name] = watch
         if not plan.has_duration:
             self._columnar.subscribe(rule.name, plan, self.world)
         windows = [
             atom for atom in plan.atoms if isinstance(atom, TimeWindowAtom)
-        ]
+        ] if plan.volatile_slots else ()
         if windows and plan.has_duration:
             self._tick_stateful.add(rule.name)
             self._notify_clock_demand()
@@ -1085,8 +1093,8 @@ class RuleEngine:
             rule.name, RuleState.ACTIVE if is_primary else RuleState.FALLBACK
         )
         # A PriorityOrder is mutable: its text is taken now.
-        self._trace("fire", rule.name, udn,
-                    (spec, None if order is None else order.describe()))
+        self._decide("fire", rule.name, udn, spec.describe(),
+                     None if order is None else order.describe())
         self._dispatch_safely(rule, spec)
 
     def _deny(
@@ -1098,11 +1106,12 @@ class RuleEngine:
         udn: str,
     ) -> list[tuple[Rule, ActionSpec, bool]]:
         if is_primary and rule.fallback is not None:
-            self._trace("fallback", rule.name, udn,
-                        (rule.fallback, spec.device_name, winner.name))
+            self._decide("fallback", rule.name, udn,
+                         rule.fallback.describe(), spec.device_name,
+                         winner.name)
             return [(rule, rule.fallback, False)]
         self._set_state(rule.name, RuleState.DENIED)
-        self._trace("deny", rule.name, udn, (winner.name,))
+        self._decide("deny", rule.name, udn, winner.name)
         return []
 
     def _preempt(
@@ -1113,10 +1122,11 @@ class RuleEngine:
         holder_name, holder_spec = self._holders.pop(udn)
         self._unindex_holder(holder_name, udn)
         was_primary = holder_spec == holder_rule.action
-        self._trace("preempt", holder_name, udn, (winner.name,))
+        self._decide("preempt", holder_name, udn, winner.name)
         if was_primary and holder_rule.fallback is not None \
                 and self._truth.get(holder_name, False):
-            self._trace("fallback", holder_name, udn, (holder_rule.fallback,))
+            self._decide("fallback", holder_name, udn,
+                         holder_rule.fallback.describe())
             return [(holder_rule, holder_rule.fallback, False)]
         self._set_state(holder_name, RuleState.DENIED)
         return []
@@ -1383,8 +1393,14 @@ class RuleEngine:
         self.simulator.call_at(when, recheck)
 
     def _trace(self, kind: str, rule: str, device: str = "",
-               detail: str | tuple = "") -> None:
-        """Record one decision: its text, or the pieces a
-        ``_DETAIL_TEXT`` formatter turns into text on read."""
+               detail: str = "") -> None:
+        """Record one decision with its text."""
         self._trace_ring.append(
             (self.simulator.now, kind, rule, device, detail))
+
+    def _decide(self, kind: str, rule: str, device: str,
+                *pieces: str | None) -> None:
+        """Record one decision of a structured kind: the pieces its
+        ``_DETAIL_TEXT`` formatter turns into text on read."""
+        self._trace_ring.append(
+            (self.simulator.now, kind, rule, device, None) + pieces)

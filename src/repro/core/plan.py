@@ -32,7 +32,6 @@ stateful
 from __future__ import annotations
 
 import sys
-from typing import Iterable
 
 from repro.core.condition import (
     Atom,
@@ -45,6 +44,7 @@ from repro.core.condition import (
     TimeWindowAtom,
     TrueAtom,
 )
+from repro.core.satisfiability import ClauseBox
 from repro.solver.linear import Relation
 
 VOLATILE_ATOM_TYPES = (TimeWindowAtom, EventAtom)
@@ -69,12 +69,16 @@ class CompiledPlan:
             atoms.  Empty for stateful plans, which never join the
             columnar state.
         has_duration: the plan is stateful (see module docstring).
-        variables / numeric_variables: cached variable footprints.
+        variables: the cached variable footprint.
+
+    Its clause boxes (:meth:`boxes`) are built on first use: only a
+    validated registration, or a check against a registered rule, asks
+    for them, so bulk-loaded rules that nothing checks never build them.
     """
 
     __slots__ = (
         "source_key", "atoms", "clauses", "static_slots", "volatile_slots",
-        "clause_parts", "has_duration", "variables", "numeric_variables",
+        "clause_parts", "has_duration", "variables", "_boxes",
     )
 
     def __init__(
@@ -87,7 +91,6 @@ class CompiledPlan:
         clause_parts: tuple[tuple[tuple[str, ...], int], ...],
         has_duration: bool,
         variables: frozenset[str],
-        numeric_variables: frozenset[str],
     ) -> None:
         self.source_key = source_key
         self.atoms = atoms
@@ -97,7 +100,24 @@ class CompiledPlan:
         self.clause_parts = clause_parts
         self.has_duration = has_duration
         self.variables = variables
-        self.numeric_variables = numeric_variables
+        self._boxes: tuple[ClauseBox, ...] | None = None
+
+    def boxes(self) -> tuple[ClauseBox, ...]:
+        """One :class:`~repro.core.satisfiability.ClauseBox` per clause,
+        built on the first call.  The clauses are subsumption-reduced,
+        which keeps every satisfiability verdict: a dropped clause
+        implies a kept one."""
+        boxes = self._boxes
+        if boxes is None:
+            atoms = self.atoms
+            every = (1 << len(atoms)) - 1
+            boxes = self._boxes = tuple(
+                ClauseBox(atoms if mask == every else
+                          [atom for slot, atom in enumerate(atoms)
+                           if mask >> slot & 1])
+                for mask in self.clauses
+            )
+        return boxes
 
     def truth(self, bits: int) -> bool:
         """Condition truth given an atom-truth bitset."""
@@ -125,13 +145,15 @@ class CompiledPlan:
         )
 
 
-def _reduce_clauses(clauses: Iterable[int]) -> tuple[int, ...]:
+def _reduce_clauses(clauses: list[int]) -> tuple[int, ...]:
     """Deduplicate and subsumption-reduce clause masks.
 
     Clause masks are conjunctions: if ``small ⊆ big`` then ``big`` implies
     ``small`` and can be dropped.  Sorting by popcount makes one pass
     sufficient.
     """
+    if len(clauses) <= 1:
+        return tuple(clauses)
     kept: list[int] = []
     for mask in sorted(set(clauses), key=lambda m: (bin(m).count("1"), m)):
         if any((mask & prior) == prior for prior in kept):
@@ -150,6 +172,7 @@ def compile_condition(condition: Condition) -> CompiledPlan:
     """
     slot_of: dict[str, int] = {}
     atoms: list[Atom] = []
+    keys: list[str] = []
     clauses: list[int] = []
     for conjunction in condition.dnf():
         mask = 0
@@ -170,12 +193,14 @@ def compile_condition(condition: Condition) -> CompiledPlan:
                 slot = len(atoms)
                 slot_of[key] = slot
                 atoms.append(atom)
+                keys.append(key)
             mask |= 1 << slot
         if not dead:
             clauses.append(mask)
 
     static_slots: list[tuple[int, str, Atom]] = []
     volatile_slots: list[tuple[int, Atom]] = []
+    volatile_mask_all = 0
     has_duration = False
     for slot, atom in enumerate(atoms):
         bit = 1 << slot
@@ -183,20 +208,17 @@ def compile_condition(condition: Condition) -> CompiledPlan:
             has_duration = True
         elif isinstance(atom, VOLATILE_ATOM_TYPES):
             volatile_slots.append((bit, atom))
+            volatile_mask_all |= bit
         else:
-            static_slots.append((bit, sys.intern(atom.key()), atom))
+            static_slots.append((bit, keys[slot], atom))
 
     reduced = _reduce_clauses(clauses)
     clause_parts: tuple[tuple[tuple[str, ...], int], ...] = ()
     if not has_duration:
-        volatile_mask_all = 0
-        for bit, _atom in volatile_slots:
-            volatile_mask_all |= bit
-        key_of_bit = {bit: key for bit, key, _atom in static_slots}
         clause_parts = tuple(
             (
                 tuple(sorted(
-                    key for bit, key in key_of_bit.items() if mask & bit
+                    key for bit, key, _atom in static_slots if mask & bit
                 )),
                 mask & volatile_mask_all,
             )
@@ -214,9 +236,6 @@ def compile_condition(condition: Condition) -> CompiledPlan:
         variables=frozenset(
             sys.intern(v) for v in condition.referenced_variables()
         ),
-        numeric_variables=frozenset(
-            sys.intern(v) for v in condition.numeric_variables()
-        ),
     )
 
 
@@ -230,7 +249,8 @@ def numeric_threshold(
     and ``"above"`` otherwise, and ``guard`` widens the bisect window so
     the comparison tolerance of :meth:`LinearConstraint.satisfied_by`
     can never hide a flip.  Returns ``None`` for atoms that need generic
-    rechecking (multi-variable constraints and equalities).
+    rechecking (multi-variable constraints, equalities, and a NaN
+    threshold, which orders with nothing in the sorted columns).
     """
     constraint = atom.constraint
     coefficients = constraint.expr.coefficients
@@ -245,6 +265,8 @@ def numeric_threshold(
     # make() folds the constant into the bound, but a directly-built
     # constraint may still carry one: coef*v + c REL bound.
     threshold = (constraint.bound - constraint.expr.constant) / coefficient
+    if threshold != threshold:
+        return None
     guard = 1e-9 / abs(coefficient) + 1e-12
     if relation in (Relation.LE, Relation.LT):
         kind = "below" if coefficient > 0 else "above"

@@ -51,11 +51,14 @@ class PriorityOrder:
     context: Condition = field(default_factory=TrueAtom)
     label: str = ""
     order_id: int = field(default_factory=lambda: next(_order_ids))
+    #: The ranked owners as a set, built once.
+    owners: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ranking:
             raise RuleError("priority order needs at least one owner")
-        if len(set(self.ranking)) != len(self.ranking):
+        self.owners = frozenset(self.ranking)
+        if len(self.owners) != len(self.ranking):
             raise RuleError(f"duplicate owners in ranking: {self.ranking}")
 
     def rank_of(self, owner: str) -> int | None:
@@ -130,7 +133,7 @@ class PriorityManager:
         Used at registration time to decide whether to prompt the user."""
         owner_set = set(owners)
         return any(
-            owner_set <= set(order.ranking)
+            owner_set <= order.owners
             for order in self._orders.get(device_udn, ())
         )
 

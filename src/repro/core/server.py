@@ -126,6 +126,13 @@ class RulePipeline:
     prompt → database add → engine activation (and the mirror-image
     removal path).
 
+    After the access check, a validated registration stages the rule's
+    compiled plan in the database (:meth:`RuleDatabase.stage_plan`):
+    consistency reads its clause boxes, the conflict check merges them
+    with each same-device rule's, and :meth:`RuleDatabase.add` and the
+    engine's columnar state take the same plan.  A registration that
+    fails unstages it, so a rejected rule leaves nothing cached.
+
     The pipeline keeps no conflict reports: :meth:`register` returns
     them to the caller, and they are garbage once the caller drops them.
     """
@@ -156,15 +163,20 @@ class RulePipeline:
         snapshot restores), where re-checking thousands of rules would
         dominate the measurement.
         """
-        if validate:
-            self.access.check_rule(rule)
-            self.consistency.require_consistent(rule)
+        if not validate:
+            self.database.add(rule)
+            self.engine.rule_added(rule)
+            return []
+        self.access.check_rule(rule)
+        plan = self.database.stage_plan(rule.condition)
+        try:
+            self.consistency.require_consistent(rule, plan)
             reports = self.conflicts.find_conflicts(rule)
-        else:
-            reports = []
-        if reports:
-            self._maybe_prompt_priority(rule, reports)
-        self.database.add(rule)
+            if reports:
+                self._maybe_prompt_priority(rule, reports)
+            self.database.add(rule)
+        finally:
+            self.database.unstage_plan(plan)
         self.engine.rule_added(rule)
         return reports
 

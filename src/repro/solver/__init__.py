@@ -8,9 +8,10 @@ is the Python equivalent:
 * :mod:`repro.solver.linear` — linear-expression and constraint IR.
 * :mod:`repro.solver.simplex` — two-phase Simplex feasibility with
   strict-inequality support (gap-variable formulation).
-* :mod:`repro.solver.intervals` — an interval-propagation fast path that
+* :mod:`repro.solver.intervals` — the per-variable interval fold that
   decides the (very common) single-variable-per-constraint case without
-  building a tableau; the A1 ablation benchmark quantifies the gain.
+  building a tableau; the registration checks keep its result in their
+  clause boxes, and the A1 ablation benchmark quantifies the gain.
 
 :func:`feasible` is the public entry point; it dispatches to the fast
 path when applicable and falls back to Simplex otherwise.

@@ -6,6 +6,8 @@ churn-contested closed loop found nothing to free.  This pins that
 property where it is made: with the collector off, a run of validated
 register/remove ticks beside sensor writes, on contested devices under
 context-attached priority orders, leaves nothing for ``gc.collect()``.
+It also pins that the long-lived decision trace adds nothing to that
+walk: after such a run, the collector tracks no ring record.
 """
 
 import gc
@@ -96,5 +98,61 @@ def test_validated_churn_on_contested_devices_leaves_no_cycles():
             assert gc.collect() == 0
         finally:
             gc.enable()
+    finally:
+        cluster.shutdown()
+
+
+def test_trace_ring_records_are_untracked_after_churn():
+    """Every decision record holds only atomic values — an action's
+    text, not its ``ActionSpec`` — so after a churn run and a full
+    collection the collector tracks no ring record, fire and fallback
+    records included."""
+    rng = random.Random(11)
+    cluster = ClusterServer(Simulator(), shard_count=2)
+
+    def with_fallback(rule, udn):
+        if rng.random() < 0.5:
+            rule.fallback = ActionSpec(
+                device_udn=f"{udn}-alt", device_name=f"{udn}-alt",
+                service_id="svc", action_name="Set",
+                settings=(Setting("level", rng.randrange(5)),))
+        return rule
+
+    live = {}
+    try:
+        for home in HOMES:
+            owners = [f"{home}-res-{r}" for r in range(RESIDENTS)]
+            for device in range(DEVICES):
+                udn = f"{home}/dev-{device}"
+                live[udn] = {}
+                for owner in owners:
+                    name = f"{udn}-{owner}-0"
+                    cluster.register_rule(with_fallback(
+                        contested_rule(name, home, owner, udn, rng), udn))
+                    live[udn][owner] = name
+                cluster.add_priority_order(PriorityOrder(
+                    udn, tuple(rng.sample(owners, len(owners))),
+                    context=TrueAtom()))
+        devices = sorted(live)
+        for tick in range(1, TICKS + 1):
+            for _ in range(4):
+                home = rng.choice(HOMES)
+                cluster.ingest(sensor(home, rng.choice(SENSORS)),
+                               rng.choice((16.0, 19.0, 21.0, 23.0, 25.0)))
+            udn = devices[rng.randrange(len(devices))]
+            owner = rng.choice(sorted(live[udn]))
+            fresh = f"{udn}-{owner}-{tick}"
+            cluster.register_rule(with_fallback(contested_rule(
+                fresh, udn.split("/")[0], owner, udn, rng), udn))
+            cluster.remove_rule(live[udn][owner])
+            live[udn][owner] = fresh
+            cluster.flush()
+        gc.collect()
+        kinds = set()
+        for shard in cluster.shards:
+            for record in shard.engine._trace_ring:
+                kinds.add(record[1])
+                assert not gc.is_tracked(record), record
+        assert {"fire", "fallback", "stop"} <= kinds
     finally:
         cluster.shutdown()

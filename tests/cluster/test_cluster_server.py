@@ -193,6 +193,20 @@ class TestLifecycle:
         cluster.register_rule(rule)
         assert compiled == [rule.condition.key()]
 
+    def test_home_map_holds_exactly_the_live_rules(self, cluster):
+        """Removal forgets a rule's home, so register/remove churn with
+        fresh names does not grow the map."""
+        live = []
+        for index in range(40):
+            home = f"home-{index % 4:04d}"
+            rule = cool_rule(home, name=f"{home}-cool-{index}",
+                             bound=20.0 + index % 7)
+            cluster.register_rule(rule)
+            live.append(rule.name)
+            if len(live) > 4:
+                cluster.remove_rule(live.pop(0))
+        assert sorted(cluster._home_of_rule) == sorted(live)
+
     @pytest.mark.parametrize("facade", ["home-server", "thread-cluster"])
     def test_registration_keeps_no_conflict_reports(self, facade):
         """A registration returns its conflict reports and keeps none:

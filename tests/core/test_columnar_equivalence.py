@@ -18,17 +18,23 @@ same mixed rule population as the incremental suite:
 
 Plus churn hygiene: removing every rule must release every interned
 slot (freelists full, indexes empty), and re-registration must read a
-fresh world.
+fresh world; and threshold churn, which updates a variable's sorted
+columns in place, must leave atom truth equal to a state rebuilt from
+the live atoms.
 """
 
 import random
 
 import pytest
 
+from repro.core.columnar import VECTOR_MIN, ColumnarState
+from repro.core.condition import NumericAtom
 from repro.core.database import RuleDatabase
 from repro.core.engine import RuleEngine
+from repro.core.plan import CompiledPlan, compile_condition
 from repro.core.priority import PriorityManager, PriorityOrder
 from repro.sim.events import Simulator
+from repro.solver.linear import LinearConstraint, LinearExpr, Relation
 
 from tests.core.test_incremental_equivalence import (
     EVENTS,
@@ -316,3 +322,78 @@ def test_unsubscribe_releases_every_slot():
         engine.rule_added(rule)
     assert engine.rule_truth("cool") is False
     assert engine.rule_truth("heat") is True
+
+
+# -- threshold churn -----------------------------------------------------------
+
+
+class _NumericWorld:
+    """Just the numeric part of an evaluation context."""
+
+    def __init__(self) -> None:
+        self.values: dict[str, float] = {}
+
+    def numeric(self, variable):
+        return self.values.get(variable)
+
+
+_THRESHOLDS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
+def _threshold_atom(rng, variable):
+    """One atom on ``variable`` with a threshold from a small grid, so
+    equal thresholds meet, or NaN.  Every relation: LT/LE as written,
+    GE/GT canonicalized by ``make`` (a negated coefficient) and also
+    built directly, and EQ (no single-threshold structure: rechecked)."""
+    coef = rng.choice((1.0, 2.0, -1.0))
+    relation = rng.choice(tuple(Relation))
+    bound = rng.choice(_THRESHOLDS + (float("nan"),))
+    if relation in (Relation.GE, Relation.GT) and rng.random() < 0.3:
+        return NumericAtom(LinearConstraint(
+            LinearExpr.var(variable, coef), relation, bound))
+    return NumericAtom(LinearConstraint.make(
+        LinearExpr.var(variable, coef), relation, bound))
+
+
+@pytest.mark.parametrize("vector_min", (0, VECTOR_MIN))
+@pytest.mark.parametrize("seed", (3, 71, 2026))
+def test_threshold_churn_matches_a_rebuilt_state(seed, vector_min):
+    """Random inserts and deletes of threshold atoms on one variable
+    update its sorted columns in place.  After every write — exactly on
+    a threshold, NaN, or the variable's first — atom truth must equal
+    that of a state rebuilt from the live atoms, and the columns must
+    stay sorted by (threshold, aid)."""
+    rng = random.Random(seed)
+    world = _NumericWorld()
+    state = ColumnarState(vector_min=vector_min)
+    live: dict[str, CompiledPlan] = {}
+    values = list(_THRESHOLDS) + [-3.0, 0.25, 5.0, float("nan")]
+    old = None
+    for step in range(400):
+        roll = rng.random()
+        if roll < 0.35 or not live:
+            name = f"r{step}"
+            live[name] = compile_condition(_threshold_atom(rng, "v"))
+            state.subscribe(name, live[name], world)
+        elif roll < 0.6:
+            name = rng.choice(sorted(live))
+            state.unsubscribe(name)
+            del live[name]
+        else:
+            new = rng.choice(values)
+            world.values["v"] = new
+            state.numeric_write("v", old, new, world)
+            old = new
+        rebuilt = ColumnarState()
+        for name, plan in live.items():
+            rebuilt.subscribe(name, plan, world)
+        for plan in live.values():
+            for _bit, key, atom in plan.static_slots:
+                assert state.atom_truth(key) == rebuilt.atom_truth(key) \
+                    == bool(atom.evaluate(world)), f"step {step}: {key}"
+        index = state._num_index.get("v")
+        if index is not None:
+            pairs = list(zip(index.thresholds, index.aids))
+            assert pairs == sorted(pairs)
+            assert index.recheck_aids == sorted(index.recheck_aids)
+    assert live

@@ -230,6 +230,60 @@ class TestConflictChecker:
         assert len(reports) == 1
 
 
+class TestPlanStaging:
+    """A validated registration checks the plan the database then keeps;
+    a rejected one keeps nothing, and the errors keep their order."""
+
+    def _stack(self):
+        from repro.core.server import build_rule_stack
+        from repro.sim.events import Simulator
+
+        return build_rule_stack(Simulator(), dispatch=lambda spec: None)
+
+    def _impossible(self):
+        return AndCondition([
+            temp_above(30), numeric_atom("thermo:t:temperature",
+                                         Relation.LT, 20)])
+
+    def test_errors_keep_their_order_and_leave_no_plan(self):
+        from repro.core.access import AccessDeniedError
+        from repro.errors import InconsistentRuleError
+
+        stack = self._stack()
+        stack.pipeline.register(make_rule("r1", "Tom", in_room("Tom"),
+                                          action(device="tv-1")))
+        stack.access.grant("Alan", "ac-1")
+        cached = dict(stack.database._plans)
+        with pytest.raises(AccessDeniedError):
+            stack.pipeline.register(make_rule(
+                "r2", "Tom", self._impossible(), action(device="ac-1")))
+        with pytest.raises(InconsistentRuleError):
+            stack.pipeline.register(make_rule(
+                "r1", "Tom", self._impossible(), action(device="tv-1")))
+        with pytest.raises(DuplicateRuleError):
+            stack.pipeline.register(make_rule(
+                "r1", "Alan", in_room("Alan"), action(device="tv-1")))
+        assert stack.database._plans == cached
+
+    def test_boxes_built_once_and_never_on_the_bulk_path(self):
+        stack = self._stack()
+        bulk = make_rule("bulk", "Tom", temp_above(20),
+                         action(device="ac-1", act="Cool"))
+        stack.pipeline.register(bulk, validate=False)
+        plan = stack.database.plan_of("bulk")
+        assert plan._boxes is None
+        reports = stack.pipeline.register(make_rule(
+            "checked", "Alan", temp_above(25),
+            action(device="ac-1", act="Heat")))
+        assert [report.existing_rule for report in reports] == ["bulk"]
+        boxes = plan._boxes
+        assert boxes is not None and plan.boxes() is boxes
+        checked = stack.database.plan_of("checked")
+        assert checked._boxes is not None
+        stack.pipeline.remove("checked")
+        assert checked.source_key not in stack.database._plans
+
+
 class TestPriorityManager:
     def _ctx(self, discrete=None):
         return FakeContext(discrete=discrete or {})

@@ -94,7 +94,6 @@ class TestCompilation:
         assert plan.variables == frozenset(
             {"thermo:t:temperature", "person:Tom:place"}
         )
-        assert plan.numeric_variables == frozenset({"thermo:t:temperature"})
 
 
 class TestTruthEquivalence:

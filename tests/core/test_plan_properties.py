@@ -194,5 +194,5 @@ def test_structurally_equal_plans_share_interned_keys(seed):
             plan_a.static_slots, plan_b.static_slots
         ):
             assert key_a is key_b
-        for variable in plan_a.variables | plan_a.numeric_variables:
+        for variable in plan_a.variables:
             assert variable is sys.intern(variable)
