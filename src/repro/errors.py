@@ -94,11 +94,6 @@ class SolverError(ReproError):
     """Internal failure of the satisfiability engine."""
 
 
-class UnboundedProblemError(SolverError):
-    """The simplex objective is unbounded (cannot happen for feasibility
-    problems built by this library; kept for defensive completeness)."""
-
-
 class RuleError(ReproError):
     """Base class for rule-database and rule-engine errors."""
 

@@ -97,9 +97,6 @@ class NetworkBus:
         if members is not None:
             members.discard(address)
 
-    def is_bound(self, address: str) -> bool:
-        return address in self._endpoints
-
     def addresses(self) -> list[str]:
         return sorted(self._endpoints)
 

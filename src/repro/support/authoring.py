@@ -187,9 +187,6 @@ class AuthoringSession:
 
     # -- word-definition helpers used by GUIs and tests -------------------------------
 
-    def define_condition_word(self, word: str, condition_text: str) -> None:
-        self.words.define_condition(word, self.parser.parse_condition(condition_text))
-
     def known_words(self) -> dict[str, list[str]]:
         return {
             "conditions": self.words.condition_words(),

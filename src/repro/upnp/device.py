@@ -113,17 +113,7 @@ class UPnPDevice:
     def service_types(self) -> list[str]:
         return [s.service_type for s in self._services.values()]
 
-    def find_service_by_type(self, service_type: str) -> Service | None:
-        for svc in self._services.values():
-            if svc.service_type == service_type:
-                return svc
-        return None
-
     # -- lifecycle ---------------------------------------------------------------
-
-    @property
-    def online(self) -> bool:
-        return self._online
 
     def attach(self, bus: NetworkBus, simulator: Simulator) -> None:
         """Bind the device address, join SSDP, announce ssdp:alive."""

@@ -51,9 +51,6 @@ class EventingEngine:
         self._simulator = simulator
         self._subscriptions: dict[str, Subscription] = {}
 
-    def subscription_count(self) -> int:
-        return len(self._subscriptions)
-
     def subscriptions_for(self, service_id: str) -> list[Subscription]:
         return [s for s in self._subscriptions.values() if s.service_id == service_id]
 

@@ -154,9 +154,6 @@ class Service:
 
     # -- state access ----------------------------------------------------------
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._variables
-
     def variable(self, name: str) -> StateVariable:
         try:
             return self._variables[name]
@@ -195,9 +192,6 @@ class Service:
 
     def actions(self) -> list[Action]:
         return list(self._actions.values())
-
-    def has_action(self, name: str) -> bool:
-        return name in self._actions
 
     def invoke(self, action_name: str, args: dict[str, Any] | None = None) -> dict[str, Any]:
         """Run an action handler after validating declared arguments."""

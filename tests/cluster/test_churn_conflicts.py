@@ -27,14 +27,13 @@ from repro.solver.linear import LinearConstraint, LinearExpr, Relation
 
 from tests.cluster.test_churn_garbage import (
     DEVICES,
-    HOMES,
     RESIDENTS,
-    ROOMS,
     SENSORS,
     contested_rule,
     presence,
     sensor,
 )
+from tests.life import HOMES, ROOMS
 
 TICKS = 200
 

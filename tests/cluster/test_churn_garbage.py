@@ -20,9 +20,8 @@ from repro.core.priority import PriorityOrder
 from repro.core.rule import Rule
 from repro.sim.events import Simulator
 from repro.solver.linear import LinearConstraint, LinearExpr, Relation
+from tests.life import HOMES, ROOMS
 
-HOMES = tuple(f"home-{index:04d}" for index in range(4))
-ROOMS = ("living room", "kitchen", "bedroom", "hall")
 SENSORS = ("temperature", "humidity", "illuminance")
 RESIDENTS = 3
 DEVICES = 4

@@ -1,342 +1,52 @@
-"""Property test: a ClusterServer is observably identical, home by
-home, to independent HomeServers.
+"""The thread cluster against the oracle over four-home lives.
 
-A seeded random event stream (sensor bursts, place changes, EPG feeds,
-door locks, instantaneous events, time advances, mid-stream rule churn)
-is driven through
-
-* a :class:`~repro.cluster.ClusterServer` with N shards behind its
-  batching/coalescing ingest bus, and
-* one :class:`~repro.core.server.HomeServer` per home fed the same
-  per-home stream synchronously,
-
-asserting after every settled step that rule truth, rule states and
-device holders agree for every home, and — when coalescing is off, so
-intermediate edges are preserved — that each home's trace matches the
-corresponding HomeServer's trace entry for entry.
+A :class:`~repro.cluster.ClusterServer` with 1 or 3 shards behind its
+batching, coalescing ingest bus serves each seed's four-home life
+(:func:`tests.life.script`, with building rules that mirror other
+homes' variables, and churn of rules, a priority order and
+``enabled``) beside the ``incremental=False`` oracle serving the merged
+homes.  The judge compares truth, states and holders after every
+settled step and, with coalescing off, each home's trace entry for
+entry.  (The ids name the per-home servers the cluster was once
+compared with.)
 """
 
-import random
+import math
 
 import pytest
 
-from repro.cluster import ClusterServer
-from repro.core.action import ActionSpec, Setting
-from repro.core.condition import (
-    AndCondition,
-    DiscreteAtom,
-    DurationAtom,
-    EventAtom,
-    MembershipAtom,
-    NumericAtom,
-    OrCondition,
-    TimeWindowAtom,
-)
-from repro.core.priority import PriorityOrder
-from repro.core.rule import Rule
-from repro.core.server import HomeServer
-from repro.net.bus import NetworkBus
-from repro.sim.clock import hhmm
-from repro.sim.events import Simulator
-from repro.solver.linear import LinearConstraint, LinearExpr, Relation
-
-HOMES = tuple(f"home-{index:04d}" for index in range(4))
-PEOPLE = ("Tom", "Alan", "Emily")
-ROOMS = ("living room", "kitchen", "bedroom", "hall")
-KEYWORDS = ("baseball", "news", "movie", "jazz")
-EVENTS = ("returns home", "leaves home")
-VALUE_GRID = [15.0 + 0.5 * i for i in range(60)]
+from tests.life import HOMES, cluster, judge, script, temp
 
 
-def temp(home):
-    return f"{home}/thermo:svc:temperature"
-
-
-def humid(home):
-    return f"{home}/hygro:svc:humidity"
-
-
-def lux(home):
-    return f"{home}/lux:svc:illuminance"
-
-
-def place_var(home, person):
-    return f"{home}/locator:svc:place-{person}"
-
-
-def epg_var(home):
-    return f"{home}/epg:svc:keywords"
-
-
-def door_var(home):
-    return f"{home}/door:svc:locked"
-
-
-def dark_var(home):
-    return f"{home}/hall:svc:dark"
-
-
-def num(variable, relation, bound):
-    return NumericAtom(
-        LinearConstraint.make(LinearExpr.var(variable), relation, bound)
-    )
-
-
-def place(home, person, room, negated=False):
-    return DiscreteAtom(place_var(home, person), room, negated=negated)
-
-
-def act(device, name="Set", level=1):
-    return ActionSpec(
-        device_udn=device, device_name=device, service_id="svc",
-        action_name=name, settings=(Setting("level", level),),
-    )
-
-
-def build_home_rules(home):
-    """Fresh rule objects covering every interesting engine path:
-    stop actions, untils, arbitration with fallback, negation, EPG
-    membership, time windows, events and duration atoms."""
-    dev = lambda suffix: f"{home}/{suffix}"
-    evening = TimeWindowAtom(hhmm(17), hhmm(21), label="evening")
-    return [
-        Rule(name=f"{home}-cool", owner="Tom",
-             condition=num(temp(home), Relation.GT, 26.0),
-             action=act(dev("aircon")),
-             stop_action=act(dev("aircon"), "Off")),
-        Rule(name=f"{home}-fan", owner="Tom",
-             condition=AndCondition([num(temp(home), Relation.GT, 28.0),
-                                     num(humid(home), Relation.GT, 24.0)]),
-             action=act(dev("fan"))),
-        Rule(name=f"{home}-heat", owner="Alan",
-             condition=num(temp(home), Relation.LT, 20.0),
-             action=act(dev("heater")),
-             until=num(temp(home), Relation.GT, 24.0),
-             stop_action=act(dev("heater"), "Off")),
-        Rule(name=f"{home}-tom-tv", owner="Tom",
-             condition=OrCondition([place(home, "Tom", "living room"),
-                                    place(home, "Alan", "living room")]),
-             action=act(dev("tv"), "ShowJazz")),
-        Rule(name=f"{home}-emily-tv", owner="Emily",
-             condition=place(home, "Emily", "living room"),
-             action=act(dev("tv"), "ShowMovie"),
-             fallback=act(dev("recorder"), "Record")),
-        Rule(name=f"{home}-lamp", owner="Tom",
-             condition=AndCondition([
-                 place(home, "Tom", "kitchen", negated=True),
-                 num(lux(home), Relation.LT, 30.0)]),
-             action=act(dev("lamp"))),
-        Rule(name=f"{home}-ballgame", owner="Alan",
-             condition=MembershipAtom(epg_var(home), "baseball"),
-             action=act(dev("tv2"), "ShowBaseball")),
-        Rule(name=f"{home}-evening-lamp", owner="Tom",
-             condition=AndCondition([evening,
-                                     place(home, "Tom", "living room")]),
-             action=act(dev("lamp2"))),
-        Rule(name=f"{home}-hall-light", owner="Tom",
-             condition=EventAtom("returns home"),
-             action=act(dev("hall-light"))),
-        Rule(name=f"{home}-alan-arrives", owner="Alan",
-             condition=AndCondition([
-                 EventAtom("returns home", subject="Alan"),
-                 DiscreteAtom(dark_var(home), "true")]),
-             action=act(dev("hall-light2"))),
-        Rule(name=f"{home}-door-alarm", owner="Emily",
-             condition=DurationAtom(
-                 DiscreteAtom(door_var(home), "false"), 600.0),
-             action=act(dev("alarm")), stop_action=act(dev("alarm"), "Off")),
-        Rule(name=f"{home}-muggy", owner="Alan",
-             condition=NumericAtom(LinearConstraint.make(
-                 LinearExpr.var(temp(home)) - LinearExpr.var(humid(home)),
-                 Relation.GT, 5.0)),
-             action=act(dev("dehumid"))),
-    ]
-
-
-def late_rule(home):
-    return Rule(
-        name=f"{home}-late-comer", owner="Tom",
-        condition=AndCondition([num(temp(home), Relation.GT, 22.0),
-                                place(home, "Alan", "bedroom")]),
-        action=act(f"{home}/lamp3"),
-    )
-
-
-class FleetTwin:
-    """The same fleet through the cluster and through per-home servers."""
-
-    def __init__(self, shard_count, coalesce):
-        self.cluster_sim = Simulator()
-        self.cluster = ClusterServer(
-            self.cluster_sim, shard_count=shard_count, coalesce=coalesce,
-        )
-        self.baselines = {}
-        self.devices = {}
-        self.rule_names = {home: [] for home in HOMES}
-        for home in HOMES:
-            simulator = Simulator()
-            server = HomeServer(simulator, NetworkBus(simulator))
-            # The baseline would try to invoke UPnP devices that do not
-            # exist in this synthetic fleet; the cluster side discards
-            # dispatches, so the baseline must too.
-            server.engine.dispatch = lambda spec: None
-            self.baselines[home] = (simulator, server)
-            for baseline_rule, cluster_rule in zip(build_home_rules(home),
-                                                   build_home_rules(home)):
-                server.register_rule(baseline_rule)
-                self.cluster.register_rule(cluster_rule)
-                self.rule_names[home].append(baseline_rule.name)
-            server.add_priority_order(
-                PriorityOrder(f"{home}/tv", ("Emily", "Tom")))
-            self.cluster.add_priority_order(
-                PriorityOrder(f"{home}/tv", ("Emily", "Tom")))
-            self.devices[home] = sorted({
-                udn for rule in build_home_rules(home)
-                for udn in rule.devices()
-            } | {f"{home}/lamp3"})
-        self.now = 0.0
-
-    # -- mirrored operations ---------------------------------------------------
-
-    def ingest(self, home, variable, value):
-        self.baselines[home][1].ingest(variable, value)
-        self.cluster.ingest(variable, value)
-
-    def post_event(self, home, event_type, subject):
-        self.baselines[home][1].post_event(event_type, subject)
-        self.cluster.post_event(event_type, subject, home=home)
-
-    def broadcast_event(self, event_type, subject):
-        for home in HOMES:
-            self.baselines[home][1].post_event(event_type, subject)
-        self.cluster.post_event(event_type, subject)
-
-    def advance(self, seconds):
-        self.now += seconds
-        for simulator, _server in self.baselines.values():
-            simulator.run_until(self.now)
-        self.cluster_sim.run_until(self.now)
-
-    def add_late_rule(self, home):
-        self.baselines[home][1].register_rule(late_rule(home))
-        self.cluster.register_rule(late_rule(home))
-        self.rule_names[home].append(late_rule(home).name)
-
-    def remove_rule(self, home, name):
-        self.baselines[home][1].remove_rule(name)
-        self.cluster.remove_rule(name)
-        self.rule_names[home].remove(name)
-
-    def set_enabled(self, home, name, enabled):
-        self.baselines[home][1].database.get(name).enabled = enabled
-        shard = self.cluster.shards[self.cluster.shard_of_rule(name)]
-        shard.database.get(name).enabled = enabled
-
-    # -- checks ----------------------------------------------------------------
-
-    def settle_and_check(self, step):
-        self.cluster.flush()
-        for home in HOMES:
-            engine = self.baselines[home][1].engine
-            for name in self.rule_names[home]:
-                assert engine.rule_truth(name) == \
-                    self.cluster.rule_truth(name), \
-                    f"step {step}: truth of {name!r} diverged"
-                assert engine.rule_state(name) == \
-                    self.cluster.rule_state(name), \
-                    f"step {step}: state of {name!r} diverged"
-            for udn in self.devices[home]:
-                base_holder = engine.holder_of(udn)
-                cluster_holder = self.cluster.holder_of(udn)
-                assert (base_holder is None) == (cluster_holder is None), \
-                    f"step {step}: holder presence of {udn!r} diverged"
-                if base_holder is not None:
-                    assert base_holder[0] == cluster_holder[0], \
-                        f"step {step}: holder of {udn!r} diverged"
-
-    def check_traces(self):
-        for home in HOMES:
-            baseline = [
-                (entry.time, entry.kind, entry.rule, entry.device)
-                for entry in self.baselines[home][1].engine.trace
-            ]
-            clustered = [
-                (entry.time, entry.kind, entry.rule, entry.device)
-                for entry in self.cluster.trace(home=home)
-            ]
-            assert baseline == clustered, f"trace of {home} diverged"
-
-    def shutdown(self):
-        self.cluster.shutdown()
-        for _sim, server in self.baselines.values():
-            server.shutdown()
-
-
-def drive(twin, seed, steps=160):
-    rng = random.Random(seed)
-    fired_any = False
-    for step in range(steps):
-        home = HOMES[rng.randrange(len(HOMES))]
-        op = rng.random()
-        if op < 0.40:
-            variable = rng.choice(
-                (temp(home), humid(home), lux(home)))
-            # Bursts exercise coalescing; singles exercise the trickle.
-            for value in rng.sample(VALUE_GRID, rng.choice((1, 1, 3, 5))):
-                twin.ingest(home, variable, value)
-        elif op < 0.55:
-            person = rng.choice(PEOPLE)
-            twin.ingest(home, place_var(home, person), rng.choice(ROOMS))
-        elif op < 0.63:
-            members = frozenset(
-                keyword for keyword in KEYWORDS if rng.random() < 0.4
-            )
-            twin.ingest(home, epg_var(home), members)
-        elif op < 0.70:
-            twin.ingest(home, door_var(home), rng.choice(("true", "false")))
-        elif op < 0.74:
-            twin.ingest(home, dark_var(home), rng.random() < 0.5)
-        elif op < 0.82:
-            if rng.random() < 0.3:
-                twin.broadcast_event(rng.choice(EVENTS), rng.choice(PEOPLE))
-            else:
-                twin.post_event(home, rng.choice(EVENTS), rng.choice(PEOPLE))
-        else:
-            twin.advance(rng.choice((30.0, 120.0, 660.0, 3_600.0)))
-        if step == 50:
-            twin.set_enabled("home-0002", "home-0002-cool", False)
-        if step == 60:
-            twin.remove_rule("home-0001", "home-0001-fan")
-        if step == 90:
-            twin.set_enabled("home-0002", "home-0002-cool", True)
-        if step == 100:
-            twin.add_late_rule("home-0003")
-        twin.settle_and_check(step)
-        fired_any = fired_any or len(twin.cluster.trace()) > 0
-    assert fired_any, "stream never fired a rule"
+def life(seed, steps=80):
+    return script(seed, HOMES, steps, ckpt_every=None, churn=True,
+                  toggles=True)
 
 
 @pytest.mark.parametrize("seed", (11, 20260730))
 @pytest.mark.parametrize("shard_count", (1, 3))
 def test_cluster_matches_independent_home_servers(seed, shard_count):
-    """Acceptance: with coalescing on (the production default), per-home
-    truth/states/holders match independent HomeServers exactly."""
-    twin = FleetTwin(shard_count=shard_count, coalesce=True)
-    try:
-        drive(twin, seed)
-        assert twin.cluster.stats().coalesced > 0, \
-            "stream never exercised coalescing"
-    finally:
-        twin.shutdown()
+    """Coalescing on (the production default): truth, states and
+    holders, and the life must have coalesced some write."""
+    judge(life(seed), cluster(shard_count=shard_count, coalesce=True),
+          homes=HOMES)
 
 
 @pytest.mark.parametrize("seed", (11, 20260730))
 def test_cluster_traces_match_without_coalescing(seed):
-    """With coalescing off every intermediate edge is preserved, so each
-    home's merged-trace slice equals its HomeServer's trace exactly."""
-    twin = FleetTwin(shard_count=3, coalesce=False)
-    try:
-        drive(twin, seed)
-        twin.check_traces()
-    finally:
-        twin.shutdown()
+    """Coalescing off: every intermediate edge survives, so each home's
+    trace equals the oracle's entry for entry."""
+    judge(life(seed), cluster(shard_count=3), homes=HOMES)
+
+
+def test_enabled_flips_after_a_burst_has_settled():
+    """A burst holding a NaN, then ``enabled`` flipped right after it:
+    the flip happens at a settled point, so the cluster has applied the
+    burst before the flip, as the oracle has."""
+    ops = life(2, steps=24)
+    t, home = ops[-1][0], HOMES[-1]
+    ops += [(t + 0.25, "burst", temp(home), (27.0, math.nan, 30.0), None),
+            (t + 0.5, "toggle", f"{home}-cool", False, None),
+            (t + 0.75, "w", temp(home), 31.0, None)]
+    twin = judge(ops, cluster(shard_count=3), homes=HOMES)
+    assert twin.ops[-2][1] == "toggle"

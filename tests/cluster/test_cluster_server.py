@@ -7,12 +7,10 @@ import weakref
 import pytest
 
 from repro.cluster import ClusterServer
-from repro.core.action import ActionSpec, Setting
 from repro.core.condition import (
     AndCondition,
     DiscreteAtom,
     EventAtom,
-    NumericAtom,
     TimeWindowAtom,
 )
 from repro.core.engine import RuleState
@@ -23,20 +21,8 @@ from repro.errors import DuplicateRuleError, RuleError, UnknownRuleError
 from repro.net.bus import NetworkBus
 from repro.sim.clock import hhmm
 from repro.sim.events import Simulator
-from repro.solver.linear import LinearConstraint, LinearExpr, Relation
-
-
-def num(variable, relation, bound):
-    return NumericAtom(
-        LinearConstraint.make(LinearExpr.var(variable), relation, bound)
-    )
-
-
-def act(device, name="Set", level=1):
-    return ActionSpec(
-        device_udn=device, device_name=device, service_id="svc",
-        action_name=name, settings=(Setting("level", level),),
-    )
+from repro.solver.linear import Relation
+from tests.life import act, num
 
 
 def cool_rule(home, name=None, owner="Tom", bound=26.0, level=1):

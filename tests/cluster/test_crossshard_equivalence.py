@@ -1,365 +1,40 @@
-"""Property test: a ClusterServer serving *cross-home* rules is
-observably identical to one merged-home HomeServer oracle.
+"""The thread cluster against the oracle where building rules mirror
+across shards.
 
-Independent per-home HomeServers (the PR-2 twin) cannot host a rule
-spanning homes, so this suite compares against a single `HomeServer`
-holding every rule of every home — home-prefixed variable ids are just
-names to it, and it evaluates the global stream synchronously, which is
-exactly the semantics variable mirroring must reproduce.
-
-A seeded random event stream (sensor bursts, place changes, door locks,
-broadcast and home-scoped events, time advances across window
-boundaries, mid-stream churn of both local and cross-home rules) is
-driven through both; after every settled step rule truth, rule states
-and device holders must agree for every rule, and — with coalescing off
-so intermediate edges are preserved — each home's trace slice must
-match the oracle's entry for entry.  About 10% of the population is
-cross-home (building) rules: any-of/all-of conditions over foreign
-sensors, a multi-variable aggregate, a window+foreign-discrete pair
-(wheel × mirror), an event+foreign pair, contention on an anchor
-device, and an anchored ``until``.
-
-The oracle ticks its clock on the fixed 60 s cadence while the cluster
-shards run the PR-5 wheel-aware adaptive schedule, so exact trace
-equality here also pins the satellite claim that adaptive ticks are
-trace-invisible.
+Each seed's four-home life carries building rules whose conditions read
+other homes' sensors: any-of and all-of conditions, a two-home
+aggregate, a window with a foreign place, an event with a foreign
+sensor, two rules contesting a lobby display under a priority order,
+and an ``until`` anchored in one home.  The life churns them too.  The
+oracle serves every home from one ``incremental=False`` engine, where
+home-prefixed variables are just names, and scopes home events through
+``post_event(only=…)`` to the rules the cluster wakes.  Shards run the
+wheel-aware adaptive tick schedule while the oracle ticks every 60 s,
+so trace equality also pins adaptive ticks as trace-invisible.
 """
-
-import random
 
 import pytest
 
-from repro.cluster import ClusterServer
-from repro.core.action import ActionSpec, Setting
-from repro.core.condition import (
-    AndCondition,
-    DiscreteAtom,
-    EventAtom,
-    NumericAtom,
-    OrCondition,
-    TimeWindowAtom,
-)
-from repro.core.priority import PriorityOrder
-from repro.core.rule import Rule
-from repro.core.server import HomeServer
-from repro.net.bus import NetworkBus
-from repro.sim.clock import hhmm
-from repro.sim.events import Simulator
-from repro.solver.linear import LinearConstraint, LinearExpr, Relation
-
-HOMES = tuple(f"home-{index:04d}" for index in range(6))
-LOBBY = "lobby"
-ROOMS = ("living room", "kitchen", "bedroom", "hall")
-EVENTS = ("returns home", "smoke alarm")
-PEOPLE = ("Tom", "Alan", "Emily")
-VALUE_GRID = [15.0 + 0.5 * i for i in range(60)]
+from tests.life import HOMES, cluster, judge, script
 
 
-def temp(home):
-    return f"{home}/thermo:svc:temperature"
-
-
-def smoke(home):
-    return f"{home}/smoke:svc:level"
-
-
-def place_var(home):
-    return f"{home}/locator:svc:place"
-
-
-def door_var(home):
-    return f"{home}/door:svc:locked"
-
-
-def num(variable, relation, bound):
-    return NumericAtom(
-        LinearConstraint.make(LinearExpr.var(variable), relation, bound)
-    )
-
-
-def act(device, name="Set", level=1):
-    return ActionSpec(
-        device_udn=device, device_name=device, service_id="svc",
-        action_name=name, settings=(Setting("level", level),),
-    )
-
-
-def build_local_rules(home):
-    """Per-home rules covering stop actions, untils, windows, events."""
-    dev = lambda suffix: f"{home}/{suffix}"
-    evening = TimeWindowAtom(hhmm(17), hhmm(21), label="evening")
-    return [
-        Rule(name=f"{home}-cool", owner="Tom",
-             condition=num(temp(home), Relation.GT, 26.0),
-             action=act(dev("aircon")),
-             stop_action=act(dev("aircon"), "Off")),
-        Rule(name=f"{home}-heat", owner="Alan",
-             condition=num(temp(home), Relation.LT, 20.0),
-             action=act(dev("heater")),
-             until=num(temp(home), Relation.GT, 24.0),
-             stop_action=act(dev("heater"), "Off")),
-        Rule(name=f"{home}-lamp", owner="Tom",
-             condition=DiscreteAtom(place_var(home), "living room"),
-             action=act(dev("lamp"))),
-        Rule(name=f"{home}-evening", owner="Emily",
-             condition=AndCondition([evening,
-                                     DiscreteAtom(place_var(home),
-                                                  "living room")]),
-             action=act(dev("lamp2"))),
-    ]
-
-
-def build_cross_rules():
-    """The ~10% building layer: rules anchored in the lobby (or one
-    apartment) whose conditions read other homes' variables.  Returns
-    ``(rules, foreign_homes)`` with each rule's foreign-home set, which
-    the oracle needs to scope home-targeted events the way the cluster
-    does (anchored rules + remote watchers)."""
-    rules: list[Rule] = []
-    foreign: dict[str, frozenset[str]] = {}
-
-    def add(rule, homes):
-        rules.append(rule)
-        foreign[rule.name] = frozenset(homes)
-
-    add(Rule(name="bldg-any-smoke", owner="manager",
-             condition=OrCondition([num(smoke(h), Relation.GT, 40.0)
-                                    for h in HOMES[:3]]),
-             action=act(f"{LOBBY}/door", "Unlock"),
-             stop_action=act(f"{LOBBY}/door", "Lock")),
-        HOMES[:3])
-    add(Rule(name="bldg-aggregate", owner="manager",
-             condition=NumericAtom(LinearConstraint.make(
-                 LinearExpr.var(temp(HOMES[0]))
-                 + LinearExpr.var(temp(HOMES[1])),
-                 Relation.GT, 58.0)),
-             action=act(f"{LOBBY}/vent")),
-        HOMES[:2])
-    add(Rule(name="bldg-evening-porch", owner="manager",
-             condition=AndCondition([
-                 TimeWindowAtom(hhmm(18), hhmm(23), label="night"),
-                 DiscreteAtom(place_var(HOMES[2]), "hall"),
-             ]),
-             action=act(f"{LOBBY}/porch-light")),
-        (HOMES[2],))
-    add(Rule(name="bldg-evac", owner="manager",
-             condition=AndCondition([
-                 EventAtom("smoke alarm"),
-                 num(smoke(HOMES[1]), Relation.GT, 20.0),
-             ]),
-             action=act(f"{LOBBY}/siren")),
-        (HOMES[1],))
-    # Two cross-home rules contesting the lobby display: arbitration of
-    # a previously impossible rule shape (ISSUE acceptance).
-    add(Rule(name="bldg-ad-board", owner="manager",
-             condition=num(temp(HOMES[3]), Relation.GT, 24.0),
-             action=act(f"{LOBBY}/display", "ShowAds")),
-        (HOMES[3],))
-    add(Rule(name="bldg-warning-board", owner="fire-chief",
-             condition=num(smoke(HOMES[3]), Relation.GT, 30.0),
-             action=act(f"{LOBBY}/display", "ShowWarning")),
-        (HOMES[3],))
-    # Anchored until: foreign condition, until + devices in one home.
-    add(Rule(name=f"{HOMES[4]}-neighbour-watch", owner="Tom",
-             condition=num(smoke(HOMES[5]), Relation.GT, 35.0),
-             action=act(f"{HOMES[4]}/buzzer"),
-             until=DiscreteAtom(door_var(HOMES[4]), "true"),
-             stop_action=act(f"{HOMES[4]}/buzzer", "Off")),
-        (HOMES[5],))
-    return rules, foreign
-
-
-def late_cross_rule():
-    return Rule(
-        name="bldg-late-watch", owner="manager",
-        condition=OrCondition([num(smoke(h), Relation.GT, 45.0)
-                               for h in HOMES[3:5]]),
-        action=act(f"{LOBBY}/spare-siren"),
-    ), frozenset(HOMES[3:5])
-
-
-class MergedTwin:
-    """The same mixed fleet through the cluster and one merged oracle."""
-
-    def __init__(self, shard_count, coalesce):
-        self.cluster_sim = Simulator()
-        self.cluster = ClusterServer(
-            self.cluster_sim, shard_count=shard_count, coalesce=coalesce,
-        )
-        self.oracle_sim = Simulator()
-        self.oracle = HomeServer(self.oracle_sim,
-                                 NetworkBus(self.oracle_sim))
-        self.oracle.engine.dispatch = lambda spec: None
-        self.rule_names: list[str] = []
-        self.devices: set[str] = set()
-        # rule -> anchor home and rule -> foreign homes, for scoping
-        # home-targeted events and slicing traces like the cluster does.
-        self.anchor: dict[str, str] = {}
-        self.foreign: dict[str, frozenset[str]] = {}
-        for home in HOMES:
-            for rule in build_local_rules(home):
-                self._register(rule, frozenset())
-        cross, foreign = build_cross_rules()
-        for rule in cross:
-            self._register(rule, foreign[rule.name])
-        for order in (
-            PriorityOrder(f"{LOBBY}/display",
-                          ("fire-chief", "manager")),
-        ):
-            self.oracle.add_priority_order(order)
-            self.cluster.add_priority_order(order)
-        self.now = 0.0
-
-    def _register(self, rule, foreign_homes):
-        self.oracle.register_rule(rule)
-        self.cluster.register_rule(rule)
-        self.rule_names.append(rule.name)
-        self.anchor[rule.name] = self.cluster._home_of_rule[rule.name]
-        self.foreign[rule.name] = foreign_homes
-        self.devices |= rule.devices()
-
-    # -- mirrored operations ---------------------------------------------------
-
-    def ingest(self, variable, value):
-        self.oracle.ingest(variable, value)
-        self.cluster.ingest(variable, value)
-
-    def broadcast_event(self, event_type, subject):
-        self.oracle.post_event(event_type, subject)
-        self.cluster.post_event(event_type, subject)
-
-    def post_home_event(self, home, event_type, subject):
-        """Home-scoped: the cluster wakes the home's own rules plus the
-        cross-home watchers mirroring it; the oracle reproduces that
-        membership through the engine's ``only`` scope."""
-        members = {
-            name for name in self.rule_names
-            if self.anchor.get(name) == home or home in self.foreign[name]
-        }
-        self.oracle.engine.post_event(event_type, subject, only=members)
-        self.cluster.post_event(event_type, subject, home=home)
-
-    def advance(self, seconds):
-        self.now += seconds
-        self.oracle_sim.run_until(self.now)
-        self.cluster_sim.run_until(self.now)
-
-    def churn_remove(self, name):
-        self.oracle.remove_rule(name)
-        self.cluster.remove_rule(name)
-        self.rule_names.remove(name)
-
-    def churn_add_late(self):
-        rule, foreign_homes = late_cross_rule()
-        self._register(rule, foreign_homes)
-
-    # -- checks ----------------------------------------------------------------
-
-    def settle_and_check(self, step):
-        self.cluster.flush()
-        engine = self.oracle.engine
-        for name in self.rule_names:
-            assert engine.rule_truth(name) == \
-                self.cluster.rule_truth(name), \
-                f"step {step}: truth of {name!r} diverged"
-            assert engine.rule_state(name) == \
-                self.cluster.rule_state(name), \
-                f"step {step}: state of {name!r} diverged"
-        for udn in sorted(self.devices):
-            base = engine.holder_of(udn)
-            ours = self.cluster.holder_of(udn)
-            assert (base is None) == (ours is None), \
-                f"step {step}: holder presence of {udn!r} diverged"
-            if base is not None:
-                assert base[0] == ours[0], \
-                    f"step {step}: holder of {udn!r} diverged"
-
-    def check_traces(self):
-        """Per anchor-home slices: within one home every rule lives on
-        one shard, so the cluster slice is an exact FIFO the oracle's
-        filtered trace must equal entry for entry."""
-        homes = sorted({*self.anchor.values()})
-        for home in homes:
-            baseline = [
-                (entry.time, entry.kind, entry.rule, entry.device)
-                for entry in self.oracle.engine.trace
-                if self.anchor.get(entry.rule) == home
-            ]
-            clustered = [
-                (entry.time, entry.kind, entry.rule, entry.device)
-                for entry in self.cluster.trace(home=home)
-            ]
-            assert baseline == clustered, f"trace of {home} diverged"
-
-    def shutdown(self):
-        self.cluster.shutdown()
-        self.oracle.shutdown()
-
-
-def drive(twin, seed, steps=150):
-    rng = random.Random(seed)
-    for step in range(steps):
-        home = HOMES[rng.randrange(len(HOMES))]
-        op = rng.random()
-        if op < 0.40:
-            variable = rng.choice((temp(home), smoke(home)))
-            for value in rng.sample(VALUE_GRID, rng.choice((1, 1, 3, 5))):
-                twin.ingest(variable, value)
-        elif op < 0.55:
-            twin.ingest(place_var(home), rng.choice(ROOMS))
-        elif op < 0.62:
-            twin.ingest(door_var(home), rng.choice(("true", "false")))
-        elif op < 0.72:
-            # Smoke spikes target the mirrored sensors specifically.
-            spiked = rng.choice(HOMES[:4])
-            twin.ingest(smoke(spiked), rng.choice((10.0, 50.0, 80.0)))
-        elif op < 0.82:
-            if rng.random() < 0.4:
-                twin.broadcast_event(rng.choice(EVENTS),
-                                     rng.choice(PEOPLE))
-            else:
-                twin.post_home_event(home, rng.choice(EVENTS),
-                                     rng.choice(PEOPLE))
-        else:
-            twin.advance(rng.choice((30.0, 120.0, 660.0, 3_600.0)))
-        if step == 40:
-            twin.churn_remove("bldg-any-smoke")
-        if step == 70:
-            twin.churn_add_late()
-        if step == 100:
-            twin.churn_remove("bldg-aggregate")
-        twin.settle_and_check(step)
-    fired = [e for e in twin.cluster.trace() if e.kind == "fire"]
-    assert any(e.rule.startswith("bldg-") for e in fired), \
-        "stream never fired a cross-home rule"
-    if len(twin.cluster.shards) > 1:
-        # One shard owns everything (no fan-out); with several, the
-        # stream must actually have crossed a shard boundary.
-        assert twin.cluster.stats().mirrored > 0, \
-            "stream never exercised mirror fan-out"
+def life(seed):
+    return script(seed, HOMES, steps=80, ckpt_every=None, churn=True,
+                  toggles=True)
 
 
 @pytest.mark.parametrize("seed", (7, 20260730))
 @pytest.mark.parametrize("shard_count", (1, 4))
 def test_cluster_with_cross_home_rules_matches_merged_oracle(
         seed, shard_count):
-    """Acceptance: truth/states/holders match the merged-home oracle
-    exactly with coalescing on (the production default)."""
-    twin = MergedTwin(shard_count=shard_count, coalesce=True)
-    try:
-        drive(twin, seed)
-    finally:
-        twin.shutdown()
+    """Coalescing on: truth, states and holders; on 4 shards some
+    mirrored write must have crossed a shard boundary."""
+    judge(life(seed), cluster(shard_count=shard_count, coalesce=True),
+          homes=HOMES)
 
 
 @pytest.mark.parametrize("seed", (7, 20260730))
 def test_cross_home_traces_match_without_coalescing(seed):
-    """With coalescing off every intermediate edge is preserved, so each
-    anchor home's trace slice equals the oracle's exactly — including
-    the cross-home rules' entries."""
-    twin = MergedTwin(shard_count=4, coalesce=False)
-    try:
-        drive(twin, seed)
-        twin.check_traces()
-    finally:
-        twin.shutdown()
+    """Coalescing off: each anchor home's trace slice, the lobby's
+    included, equals the oracle's entry for entry."""
+    judge(life(seed), cluster(shard_count=4), homes=HOMES)

@@ -7,29 +7,16 @@ from repro.cluster.bus import IngestBus
 from repro.cluster.router import ShardRouter
 from repro.cluster.server import ClusterServer
 from repro.cluster.shard import EngineShard
-from repro.core.action import ActionSpec, Setting
-from repro.core.condition import AndCondition, DiscreteAtom, DurationAtom, NumericAtom
+from repro.core.condition import AndCondition, DiscreteAtom, DurationAtom
 from repro.core.priority import PriorityOrder
 from repro.core.rule import Rule
 from repro.sim.events import Simulator
-from repro.solver.linear import LinearConstraint, LinearExpr, Relation
+from repro.solver.linear import Relation
+from tests.life import act, num
 
 HOME = "home-0000"
 TEMP = f"{HOME}/thermo:svc:temperature"
 DOOR = f"{HOME}/door:svc:locked"
-
-
-def num(variable, relation, bound):
-    return NumericAtom(
-        LinearConstraint.make(LinearExpr.var(variable), relation, bound)
-    )
-
-
-def act(device, name="Set"):
-    return ActionSpec(
-        device_udn=device, device_name=device, service_id="svc",
-        action_name=name, settings=(Setting("level", 1),),
-    )
 
 
 def hot_rule(name="hot", device=f"{HOME}/aircon", **kwargs):

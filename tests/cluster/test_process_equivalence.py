@@ -1,21 +1,17 @@
-"""Randomized backend equivalence: process workers vs in-thread shards.
+"""Worker processes against the oracle.
 
-The acceptance property of the process plane: a cluster whose shards
-live in worker processes behind the wire protocol is observably
-identical — rule truth, rule states, device holders, and (with
-coalescing off) full per-home traces — to the in-thread cluster
-serving the same scripted life.  The wire's one-way pipelining, the
-per-frame clock catch-up, and the counter barrier must together
-reproduce exactly the ordering an in-process drain produces.
-
-Scripts come from :mod:`tests.cluster.recovery_stack` — the same
-seeded multi-home lives the durability suites replay, with fractional
-timestamps so no ingest ever ties with a whole-second timer.  Runs
-cover the fast path and the ``incremental=False`` oracle (the flag
-rides the HELLO config into the worker), plus cross-home mirror rules
-whose fan-out
-crosses the socket, and a durability round-trip where WAL/snapshot
-files written by worker processes restore onto either backend.
+A cluster whose shards live in worker processes behind the wire
+protocol serves seeded lives (:func:`tests.life.script`, with building
+rules whose mirrored writes cross the socket and churn of rules and a
+priority order) beside the ``incremental=False`` oracle.  The judge
+compares truth, states and holders after every settled step and, with
+coalescing off, full per-home traces at the end: the wire's one-way
+pipelining, the per-frame clock catch-up and the counter barrier must
+together reproduce the oracle's ordering.  The steps are multiples of
+0.25 s, so some ops land on whole seconds and a few on the 60-s tick
+grid.  The ``incremental=False`` flag rides the HELLO config into the
+worker, and a durability directory written by worker processes
+restores onto either backend.
 """
 
 import pytest
@@ -25,103 +21,74 @@ from repro.core.condition import OrCondition
 from repro.core.rule import Rule
 from repro.sim.events import Simulator
 from repro.solver.linear import Relation
-from tests.cluster.recovery_stack import (
+from tests.life import (
+    CONTEXT_LABELS,
     HOME,
     HOMES,
     act,
     assert_equivalent,
-    drive_durable,
-    drive_uninterrupted,
-    end_time_of,
+    cluster,
+    context_labels,
+    judge,
     new_cluster,
     num,
     observe,
     restore,
     script,
+    settle_at,
     temp,
 )
 
 pytestmark = pytest.mark.hard_timeout(300)
 
 BACKENDS = ("thread", "process")
+HOMES2 = HOMES[:2]
 
 
-def run_twins(seed, *, homes=(HOME,), shard_count=2, coalesce=False,
-              **engine_kwargs):
-    """The same scripted life through both backends; returns
-    ``{backend: observation}``."""
-    ops = script(seed, homes=homes)
-    end_time = end_time_of(ops)
-    results = {}
-    for backend in BACKENDS:
-        server = new_cluster(
-            Simulator(), homes, shard_count=shard_count,
-            coalesce=coalesce, backend=backend, **engine_kwargs,
-        )
-        try:
-            drive_uninterrupted(server, ops, end_time)
-            results[backend] = observe(server, homes)
-        finally:
-            server.shutdown()
-    return results
+def life(seed, homes=HOMES2, steps=32):
+    return script(seed, homes, steps, ckpt_every=None, churn=True)
+
+
+def workers(**kwargs):
+    return cluster(shard_count=2, backend="process", **kwargs)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_multihome_exact_traces(seed):
-    """Coalescing off: every intermediate edge must survive into the
-    trace identically on both sides of the socket."""
-    results = run_twins(seed, homes=HOMES, shard_count=2)
-    assert_equivalent(results["process"], results["thread"],
-                      f"seed {seed}, columnar")
+    """Coalescing off: every intermediate edge survives into the trace
+    on the far side of the socket as it does in the oracle."""
+    judge(life(seed), workers(), homes=HOMES2)
 
 
 @pytest.mark.parametrize("seed", (1, 4))
 def test_with_coalescing(seed):
-    """Coalescing on: settled observables (truth, states, holders) must
-    agree; traces are exempt — merged writes legitimately drop
-    intermediate edges."""
-    results = run_twins(seed, homes=HOMES, shard_count=2, coalesce=True)
-    for side in results.values():
-        side["traces"] = {}
-    assert_equivalent(results["process"], results["thread"],
-                      f"seed {seed}, coalesced")
+    """Coalescing on: truth, states and holders; merged writes
+    legitimately drop intermediate edges from the traces."""
+    judge(life(seed, steps=48), workers(coalesce=True), homes=HOMES2)
 
 
 def test_ablation_backend_non_incremental():
     """incremental=False: full re-evaluation per ingest, behind the
     wire."""
-    results = run_twins(3, homes=HOMES[:2], shard_count=2,
-                        incremental=False)
-    assert_equivalent(results["process"], results["thread"],
-                      "seed 3, incremental off")
+    judge(life(3), workers(incremental=False), homes=HOMES2)
 
 
 #: Lives in which both of the tv's context-attached orders decide grants
 #: and context flips at writes and at ticks re-arbitrate DENIED rules.
+#: At 128 steps each of them catches a fast path that skips the retries.
 CONTEXT_LIVES = (((HOME,), 1), ((HOME,), 3), ((HOME,), 13),
-                 (HOMES, 5), (HOMES, 13), (HOMES, 15))
+                 (HOMES2, 5), (HOMES2, 13), (HOMES2, 15))
+CONTEXT_STEPS = 128
 
 
 @pytest.mark.parametrize("homes, seed", CONTEXT_LIVES)
 def test_fast_path_in_thread_matches_oracle_in_workers(homes, seed):
-    """The in-thread fast path against the ``incremental=False`` oracle
-    in worker processes, over lives whose tv orders carry presence and
-    time-window contexts: context-flip re-arbitration (index and context
-    wheel vs a scan of every order) must agree entry for entry across
-    both the configuration and the socket."""
-    ops = script(seed, homes=homes)
-    end_time = end_time_of(ops)
-    results = {}
-    for backend, incremental in (("thread", True), ("process", False)):
-        server = new_cluster(Simulator(), homes, shard_count=2,
-                             backend=backend, incremental=incremental)
-        try:
-            drive_uninterrupted(server, ops, end_time)
-            results[backend] = observe(server, homes)
-        finally:
-            server.shutdown()
-    assert_equivalent(results["process"], results["thread"],
-                      f"seed {seed}, fast thread vs oracle process")
+    """The in-thread fast path and the ``incremental=False`` cluster in
+    worker processes, each against the oracle, over lives whose tv
+    orders carry presence and time-window contexts: context-flip
+    re-arbitration must agree entry for entry."""
+    judge(life(seed, homes, CONTEXT_STEPS), cluster(shard_count=2),
+          workers(incremental=False), homes=homes)
 
 
 def test_context_lives_reach_both_context_orders():
@@ -129,19 +96,9 @@ def test_context_lives_reach_both_context_orders():
     lives reach it: both context-attached orders decide some grant."""
     labels = set()
     for homes, seed in CONTEXT_LIVES:
-        ops = script(seed, homes=homes)
-        server = new_cluster(Simulator(), homes, shard_count=2)
-        try:
-            drive_uninterrupted(server, ops, end_time_of(ops))
-            for home in homes:
-                labels |= {
-                    entry.detail.rsplit("(when ", 1)[1][:-2]
-                    for entry in server.trace(home=home)
-                    if "(when " in entry.detail
-                }
-        finally:
-            server.shutdown()
-    assert labels == {"Tom is in the kitchen", "after midnight"}
+        twin = judge(life(seed, homes, CONTEXT_STEPS), homes=homes)
+        labels |= context_labels(twin.oracle.trace())
+    assert labels == CONTEXT_LABELS
 
 
 def test_cross_home_mirror_rule_over_the_wire():
@@ -195,37 +152,23 @@ def test_cross_home_mirror_rule_over_the_wire():
 def test_durable_process_cluster_restores_onto_either_backend(
         tmp_path, restore_backend):
     """Worker processes own the WAL/snapshot files (I/O runs in-worker);
-    a restore from that directory — onto thread shards or fresh worker
-    processes — matches the crash-free in-thread twin."""
-    seed = 7
-    ops = script(seed, homes=HOMES[:2])
-    end_time = end_time_of(ops)
+    the durable process cluster matches the oracle through its life, and
+    a restore from its directory, onto thread shards or fresh worker
+    processes, matches the oracle's end state."""
+    def durable(homes):
+        server = new_cluster(Simulator(), homes, shard_count=2,
+                             backend="process")
+        server.attach_durability(DurabilityPlane(str(tmp_path)))
+        return server
 
-    twin = new_cluster(Simulator(), HOMES[:2], shard_count=2)
-    drive_uninterrupted(twin, ops, end_time)
-    expected = observe(twin, HOMES[:2])
-    twin.shutdown()
-
-    durable = new_cluster(Simulator(), HOMES[:2], shard_count=2,
-                          backend="process")
-    try:
-        durable.attach_durability(DurabilityPlane(str(tmp_path)))
-        assert drive_durable(durable, ops) is None  # no faults, no crash
-        durable.simulator.run_until(end_time)
-        durable.flush()
-        assert_equivalent(observe(durable, HOMES[:2]), expected,
-                          "durable process run")
-    finally:
-        durable.shutdown()
-
-    restored, report = restore(tmp_path, HOMES[:2],
-                               backend=restore_backend)
+    ops = script(7, HOMES2)
+    twin = judge(ops, durable, homes=HOMES2)
+    restored, report = restore(tmp_path, HOMES2, backend=restore_backend)
     try:
         assert not report.rules_missing
         assert restored.backend == restore_backend
-        restored.simulator.run_until(end_time)
-        restored.flush()
-        assert_equivalent(observe(restored, HOMES[:2]), expected,
+        settle_at(restored, twin.oracle.simulator.now)
+        assert_equivalent(observe(restored, HOMES2), twin.expected,
                           f"restored onto {restore_backend}")
     finally:
         restored.shutdown()

@@ -21,13 +21,13 @@ from repro.errors import RecoveryError
 from repro.sim.events import Simulator
 from repro.sim.faults import FaultInjector, SimulatedCrash
 from repro.support.wal import RECORD_PREFIX_SIZE, WalWriter, read_wal
-from tests.cluster.recovery_stack import (
+from tests.life import (
     HOME,
     abandon,
     assert_equivalent,
-    drive_durable,
-    drive_uninterrupted,
+    drive,
     end_time_of,
+    entries_of,
     fresh_rules,
     new_cluster,
     observe,
@@ -35,6 +35,7 @@ from tests.cluster.recovery_stack import (
     restore,
     resume_index,
     script,
+    settle_at,
     temp,
 )
 
@@ -42,7 +43,8 @@ from tests.cluster.recovery_stack import (
 def expected_outcome(ops, **kwargs):
     """Observe the crash-free twin after the full script."""
     twin = new_cluster(Simulator(), **kwargs)
-    drive_uninterrupted(twin, ops, end_time_of(ops))
+    drive(twin, ops)
+    settle_at(twin, end_time_of(ops))
     outcome = observe(twin)
     twin.shutdown()
     return outcome
@@ -64,9 +66,8 @@ def wal_path_of(tmp_path, shard=0):
 
 def finish(server, ops, start):
     """Re-feed the undurable suffix and settle to the script's end."""
-    assert drive_durable(server, ops, start) is None
-    server.simulator.run_until(end_time_of(ops))
-    server.flush()
+    assert drive(server, ops, start) is None
+    settle_at(server, end_time_of(ops))
 
 
 # -- round trip ------------------------------------------------------------------
@@ -76,7 +77,7 @@ def test_round_trip_restores_runtime_exactly(tmp_path):
     ops = script(1)
     expected = expected_outcome(ops)
     server = durable_cluster(tmp_path)
-    assert drive_durable(server, ops) is None
+    assert drive(server, ops) is None
     # Abrupt kill: no shutdown — the WAL tail past the last checkpoint
     # is all recovery gets.
     abandon(server)
@@ -85,8 +86,7 @@ def test_round_trip_restores_runtime_exactly(tmp_path):
     assert report.rules_restored == len(fresh_rules((HOME,)))
     assert not report.rules_missing
     assert report.shards[0].records_replayed == report.shards[0].wal_records
-    assert restored.bus.applied_counts[0] == \
-        sum(1 for op in ops if op[1] != "ckpt")
+    assert restored.bus.applied_counts[0] == sum(map(entries_of, ops))
     restored.simulator.run_until(end_time_of(ops))
     restored.flush()
     assert_equivalent(observe(restored), expected, "round trip")
@@ -102,7 +102,7 @@ def test_manifest_with_retired_engine_flags_still_restores(tmp_path):
     ops = script(1)
     expected = expected_outcome(ops)
     server = durable_cluster(tmp_path)
-    assert drive_durable(server, ops) is None
+    assert drive(server, ops) is None
     abandon(server)
     manifest = manifest_of(tmp_path)
     manifest["config"].update(
@@ -121,7 +121,7 @@ def test_manifest_with_retired_engine_flags_still_restores(tmp_path):
 def test_restore_surfaces_recovery_metrics(tmp_path):
     ops = script(2)
     server = durable_cluster(tmp_path)
-    assert drive_durable(server, ops) is None
+    assert drive(server, ops) is None
     abandon(server)
     restored, report = restore(tmp_path)
     counters = restored.telemetry()["bus"]["counters"]
@@ -147,7 +147,7 @@ def test_torn_tail_resumes_from_surviving_prefix(tmp_path):
     server = durable_cluster(tmp_path)
     last_ckpt = max(i for i, op in enumerate(ops) if op[1] == "ckpt")
     cut = min(last_ckpt + 4, len(ops))
-    assert drive_durable(server, ops[:cut]) is None
+    assert drive(server, ops[:cut]) is None
     abandon(server)
     # The crash tore the final record mid-frame.
     path = wal_path_of(tmp_path)
@@ -165,7 +165,7 @@ def test_checksum_corruption_drops_damaged_suffix(tmp_path):
     ops = script(4)
     expected = expected_outcome(ops)
     server = durable_cluster(tmp_path)
-    assert drive_durable(server, ops) is None
+    assert drive(server, ops) is None
     abandon(server)
     path = wal_path_of(tmp_path)
     bodies, read_report = read_wal(str(path))
@@ -190,7 +190,7 @@ def test_epoch_mismatch_stops_replay(tmp_path):
     ops = script(5)
     expected = expected_outcome(ops)
     server = durable_cluster(tmp_path)
-    assert drive_durable(server, ops) is None
+    assert drive(server, ops) is None
     abandon(server)
     # Forge a tail record carrying a future rule-churn epoch — as if a
     # crashed churn checkpoint left the WAL ahead of the snapshot.  An
@@ -224,7 +224,7 @@ def test_checkpoint_crash_recovers_previous_generation(tmp_path, site):
     expected = expected_outcome(ops)
     server = durable_cluster(tmp_path)
     last_ckpt = max(i for i, op in enumerate(ops) if op[1] == "ckpt")
-    assert drive_durable(server, ops[:last_ckpt]) is None
+    assert drive(server, ops[:last_ckpt]) is None
     committed = manifest_of(tmp_path)["snapshot_id"]
     server.durability.arm_faults(FaultInjector({site: 1}))
     with pytest.raises(SimulatedCrash):
@@ -284,13 +284,14 @@ def test_window_boundary_after_snapshot_still_fires(tmp_path):
     ops = [(10.25, "w", place_var(HOME, "Tom"), "living room", None),
            (3000.5, "ckpt", None, None, None)]
     twin = new_cluster(Simulator())
-    drive_uninterrupted(twin, ops, 4000.0)
+    drive(twin, ops)
+    settle_at(twin, 4000.0)
     expected = observe(twin)
     twin.shutdown()
     assert not expected["truth"][f"{HOME}-early-lamp"]  # window closed
 
     server = durable_cluster(tmp_path)
-    assert drive_durable(server, ops) is None
+    assert drive(server, ops) is None
     abandon(server)
     restored, report = restore(tmp_path)
     assert report.ok()

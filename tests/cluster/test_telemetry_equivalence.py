@@ -1,93 +1,29 @@
-"""Property test: telemetry must never perturb evaluation.
+"""Telemetry never perturbs evaluation.
 
-A telemetry-enabled cluster and a telemetry-disabled twin serve the
-same randomized mixed fleet stream (sensor bursts, place changes, EPG
-feeds, door/dark flips, events, time advances, mid-stream rule churn);
-truth, states and holders are asserted after every settled step and the
-per-home traces must match entry for entry — observability is a pure
-read-side plane.
-
-Reuses :class:`ClusterAblationTwin`, whose second side takes arbitrary
-``ClusterServer`` kwargs: here the "ablation" is ``telemetry=False``.
+A telemetry-enabled and a telemetry-disabled thread cluster serve the
+same four-home life, each judged against the oracle: truth, states and
+holders after every settled step, traces entry for entry at the end.
+The enabled side must have recorded something, so the equivalence is
+not vacuous.
 """
-
-import random
 
 import pytest
 
-from tests.cluster.test_cluster_ablation_equivalence import (
-    ClusterAblationTwin,
-)
-from tests.cluster.test_cluster_equivalence import (
-    EVENTS,
-    HOMES,
-    KEYWORDS,
-    PEOPLE,
-    ROOMS,
-    VALUE_GRID,
-    dark_var,
-    door_var,
-    epg_var,
-    humid,
-    late_rule,
-    lux,
-    place_var,
-    temp,
-)
+from tests.life import HOMES, cluster, judge, script
 
 
 @pytest.mark.parametrize("seed", (11, 20260807))
 def test_telemetry_on_off_equivalence(seed):
-    rng = random.Random(seed)
-    twin = ClusterAblationTwin({"telemetry": False})
-    fired_any = False
-    try:
-        for step in range(110):
-            home = HOMES[rng.randrange(len(HOMES))]
-            op = rng.random()
-            if op < 0.35:
-                variable = rng.choice((temp(home), humid(home), lux(home)))
-                for value in rng.sample(VALUE_GRID, rng.choice((1, 1, 3))):
-                    twin.ingest(variable, value)
-            elif op < 0.50:
-                person = rng.choice(PEOPLE)
-                twin.ingest(place_var(home, person), rng.choice(ROOMS))
-            elif op < 0.58:
-                members = frozenset(
-                    keyword for keyword in KEYWORDS if rng.random() < 0.4
-                )
-                twin.ingest(epg_var(home), members)
-            elif op < 0.64:
-                twin.ingest(door_var(home), rng.choice(("true", "false")))
-            elif op < 0.68:
-                twin.ingest(dark_var(home), rng.random() < 0.5)
-            elif op < 0.76:
-                twin.post_event(home, rng.choice(EVENTS), rng.choice(PEOPLE))
-            else:
-                twin.advance(rng.choice(
-                    (60.0, 300.0, 1_800.0, 3_600.0, 14_400.0)))
-            if step == 35:
-                twin.set_enabled("home-0002-night", False)
-            if step == 50:
-                twin.remove_rule("home-0001", "home-0001-offgrid")
-            if step == 70:
-                twin.set_enabled("home-0002-night", True)
-            if step == 85:
-                twin.add_late_rule("home-0003")
-            twin.settle_and_check(step)
-            fired_any = fired_any or len(twin.sides[0][1].trace()) > 0
-        assert fired_any, "stream never fired a rule"
-        twin.check_traces()
-        # The enabled side actually recorded something — the equivalence
-        # must not be vacuous because telemetry silently no-opped.
-        enabled = twin.sides[0][1]
-        snapshot = enabled.telemetry()
-        assert snapshot["enabled"]
-        assert snapshot["aggregate"]["histograms"]["ingest.write_ms"][
-            "count"] + snapshot["aggregate"]["histograms"]["ingest.batch_ms"][
-            "count"] > 0
-        disabled = twin.sides[1][1]
-        assert not disabled.telemetry()["enabled"]
-        assert disabled.telemetry()["shards"] == []
-    finally:
-        twin.shutdown()
+    """Telemetry on and off, each 3-shard cluster against the oracle."""
+    ops = script(seed, HOMES, steps=80, ckpt_every=None, churn=True,
+                 toggles=True)
+    twin = judge(ops, cluster(shard_count=3),
+                 cluster(shard_count=3, telemetry=False), homes=HOMES)
+    enabled, disabled = twin.sides
+    snapshot = enabled.telemetry()
+    histograms = snapshot["aggregate"]["histograms"]
+    assert snapshot["enabled"]
+    assert histograms["ingest.write_ms"]["count"] \
+        + histograms["ingest.batch_ms"]["count"] > 0
+    assert not disabled.telemetry()["enabled"]
+    assert disabled.telemetry()["shards"] == []

@@ -16,12 +16,10 @@ engine's clock-demand hook.
 import pytest
 
 from repro.cluster.shard import EngineShard
-from repro.core.action import ActionSpec, Setting
 from repro.core.condition import (
     AndCondition,
     DiscreteAtom,
     DurationAtom,
-    NumericAtom,
     TimeWindowAtom,
 )
 from repro.core.engine import RuleState
@@ -29,26 +27,14 @@ from repro.core.priority import PriorityOrder
 from repro.core.rule import Rule
 from repro.sim.clock import hhmm
 from repro.sim.events import Simulator
-from repro.solver.linear import LinearConstraint, LinearExpr, Relation
+from repro.solver.linear import Relation
+from tests.life import act, num
 
 HOME = "home-0000"
 TEMP = f"{HOME}/thermo:svc:temperature"
 PLACE = f"{HOME}/locator:svc:place"
 
 PERIOD = 60.0
-
-
-def num(variable, relation, bound):
-    return NumericAtom(
-        LinearConstraint.make(LinearExpr.var(variable), relation, bound)
-    )
-
-
-def act(device, name="Set"):
-    return ActionSpec(
-        device_udn=device, device_name=device, service_id="svc",
-        action_name=name, settings=(Setting("level", 1),),
-    )
 
 
 def window_rule(name="evening", start=17, end=21, device=f"{HOME}/lamp"):

@@ -32,13 +32,13 @@ from repro.errors import (
     WorkerError,
 )
 from repro.sim.events import Simulator
-from tests.cluster.recovery_stack import (
+from tests.life import (
     HOME,
     HOMES,
     build_rules,
     humid,
+    priority_orders,
     temp,
-    tv_orders,
 )
 
 pytestmark = pytest.mark.hard_timeout(120)
@@ -114,7 +114,7 @@ def test_ingest_batch_deltas_fold_through_barrier(client):
 def test_priority_and_mirrors_round_trip(client):
     for rule in build_rules(HOME):
         client.register_rule(rule)
-    for order in tv_orders((HOME,)):
+    for order in priority_orders((HOME,)):
         client.add_priority_order(order)
     client.adopt_mirrors("remote-rule", ["a:x", "a:y"])
     assert client.mirrors_of_rule("remote-rule") == frozenset({"a:x", "a:y"})
