@@ -37,6 +37,7 @@ timer's instant is the tie :mod:`repro.cluster.durability` documents
 as a known limitation of replay.
 """
 
+import functools
 import math
 
 from repro.cluster import ALL_CRASH_SITES, ClusterServer, DurabilityPlane, restore_cluster
@@ -436,6 +437,9 @@ class MergedServer(HomeServer):
         simulator = Simulator()
         super().__init__(simulator, NetworkBus(simulator), **kwargs)
         self.engine.dispatch = lambda spec: None
+        self.rule_truth = self.engine.rule_truth
+        self.rule_state = self.engine.rule_state
+        self.holder_of = self.engine.holder_of
         if tune is not None:
             tune(self.engine)
         self.pending = [] if batch else None
@@ -478,15 +482,6 @@ class MergedServer(HomeServer):
         only = None if home is None else {
             name for name, homes in self.reach.items() if home in homes}
         self.engine.post_event(event_type, subject, only=only)
-
-    def rule_truth(self, name):
-        return self.engine.rule_truth(name)
-
-    def rule_state(self, name):
-        return self.engine.rule_state(name)
-
-    def holder_of(self, udn):
-        return self.engine.holder_of(udn)
 
     def trace(self, home=None):
         return [entry for entry in self.engine.trace
@@ -699,57 +694,35 @@ class Crashes:
         return server
 
 
-class Judge:
-    """One life through the oracle and each configuration in lock-step.
+class Oracle:
+    """The oracle's run of one life: the ops with their churn resolved,
+    what the oracle shows after every settled step (:attr:`steps`) and
+    at the end, traces included (:attr:`end`).  The run is a function
+    of the life, so :func:`oracle_of` makes it once for every test that
+    judges the same life."""
 
-    ``configs`` build a side from the homes (:func:`engine`,
-    :func:`cluster` or a :class:`Crashes`).  :meth:`run` resolves the
-    churn ops that name no rule against the oracle, then applies each
-    op to every side through :func:`drive` and compares every side with
-    the oracle; at the end it compares traces and asserts the coverage
-    the configurations exist for."""
-
-    def __init__(self, ops, *configs, homes=(HOME,)):
-        self.ops = list(ops)
+    def __init__(self, ops, homes):
         self.homes = homes
-        self.oracle = MergedServer(homes, incremental=False)
-        self.configs = configs
-        self.sides = [config(homes) for config in configs]
+        self.server = MergedServer(homes, incremental=False)
         rules = fresh_rules(homes)
         self.live = [rule.name for rule in rules]
         self.devices = {udn for rule in rules for udn in rule.devices()}
         self.dropped = []
         self.churned = set()
-        self.last = {"truth": {}, "state": {}, "holders": {}}
-        self.compared = 0
-
-    def run(self):
-        """Drive the life and judge it."""
-        for index in range(len(self.ops)):
-            op = self.ops[index] = self.resolve(self.ops[index])
-            drive(self.oracle, self.ops, index, index + 1)
-            for position, server in enumerate(self.sides):
-                if drive(server, self.ops, index, index + 1) is not None:
-                    self.sides[position] = self.configs[position].recover(
-                        server, self.ops, index)
-            self.compare(f"step {index}: {op}")
-        end_time = end_time_of(self.ops)
-        for server in [self.oracle, *self.sides]:
-            settle_at(server, end_time)
-        self.expected = self.compare("end", traces=True)
-        assert any(entry.kind == "fire" for entry in self.oracle.trace()), \
+        self.ops, self.steps = [], []
+        for op in ops:
+            self.ops.append(self.resolve(op))
+            drive(self.server, self.ops, len(self.ops) - 1)
+            self.steps.append(self.observe(traces=False))
+        settle_at(self.server, end_time_of(self.ops))
+        self.end = self.observe(traces=True)
+        self.server.shutdown()
+        assert any(entry.kind == "fire" for entry in self.server.trace()), \
             "life never fired a rule"
-        for config, server in zip(self.configs, self.sides):
-            if isinstance(config, Crashes):
-                assert all(plan.spent for plan in config.plans), \
-                    [plan.describe() for plan in config.plans]
-            if isinstance(server, ClusterServer):
-                if server.bus.coalesce:
-                    assert server.stats().coalesced > 0, "nothing coalesced"
-                if len(server.shards) > 1 and len(self.homes) > 1 and \
-                        not isinstance(config, Crashes):
-                    assert server.stats().mirrored > 0, "no mirrored write"
-        return self
+
+    def observe(self, traces):
+        return observe(self.server, self.homes, self.live,
+                       sorted(self.devices), traces)
 
     def resolve(self, op):
         """Name the rule a churn op removes, from the oracle's state
@@ -758,12 +731,12 @@ class Judge:
         if kind in ("drop-held", "drop-denied"):
             mine = [name for name in self.live if name.startswith(a)]
             if kind == "drop-held":
-                held = (self.oracle.holder_of(udn)
+                held = (self.server.holder_of(udn)
                         for udn in sorted(self.devices) if udn.startswith(a))
                 found = next((holder[0] for holder in held if holder), None)
             else:
                 found = next((name for name in mine if
-                              self.oracle.rule_state(name) is RuleState.DENIED),
+                              self.server.rule_state(name) is RuleState.DENIED),
                              None)
             if found is None:
                 return (t, "a", None, None, None)
@@ -783,47 +756,99 @@ class Judge:
             self.live.remove(a)
         return (t, kind, a, b, c)
 
-    def compare(self, context, traces=False):
-        """Compare every side with the oracle.  A read from a worker
-        process is a round trip, so there a step reads only the rules
-        and devices the oracle changed since the last step, and every
-        eighth step and the end read them all."""
-        names, devices = self.live, sorted(self.devices)
-        expected = observe(self.oracle, self.homes, names, devices, traces)
-        last, self.last = self.last, expected
-        self.compared += 1
-        remote = any(isinstance(server, ClusterServer)
-                     and server.backend == "process" for server in self.sides)
-        if remote and not traces and self.compared % 8:
-            truth, state, holders = (expected[section] for section in
-                                     ("truth", "state", "holders"))
-            names = [name for name in names
-                     if (truth[name], state[name]) !=
-                     (last["truth"].get(name), last["state"].get(name))]
-            devices = [udn for udn in devices if udn not in last["holders"]
-                       or holders[udn] != last["holders"][udn]]
+
+@functools.lru_cache(maxsize=16)
+def oracle_of(ops, homes):
+    """The :class:`Oracle` of the life ``ops`` (a tuple) over ``homes``."""
+    return Oracle(ops, homes)
+
+
+def changes(observation, last):
+    """The rules and devices of ``observation`` that differ from the
+    ``last`` one."""
+    truth, state, holders = (observation[section] for section in
+                             ("truth", "state", "holders"))
+    names = [name for name in truth if (truth[name], state[name]) !=
+             (last["truth"].get(name), last["state"].get(name))]
+    devices = [udn for udn in holders if udn not in last["holders"]
+               or holders[udn] != last["holders"][udn]]
+    return dict(observation,
+                truth={name: truth[name] for name in names},
+                state={name: state[name] for name in names},
+                holders={udn: holders[udn] for udn in devices})
+
+
+class Judge:
+    """One life through each configuration, held to the oracle.
+
+    ``configs`` build a side from the homes (:func:`engine`,
+    :func:`cluster` or a :class:`Crashes`).  :meth:`run` applies each of
+    the oracle's resolved ops to every side through :func:`drive` and
+    compares every side with what the oracle showed after that step; at
+    the end it compares traces and asserts the coverage the
+    configurations exist for."""
+
+    def __init__(self, ops, *configs, homes=(HOME,)):
+        life = oracle_of(tuple(ops), homes)
+        self.oracle, self.ops, self.churned = life.server, life.ops, \
+            life.churned
+        self.steps, self.expected = life.steps, life.end
+        self.homes = homes
+        self.configs = configs
+        self.sides = [config(homes) for config in configs]
+
+    def run(self):
+        """Drive the life and judge it."""
+        last = None
+        for index, expected in enumerate(self.steps):
+            for position, server in enumerate(self.sides):
+                if drive(server, self.ops, index, index + 1) is not None:
+                    self.sides[position] = self.configs[position].recover(
+                        server, self.ops, index)
+            self.compare(expected, last if index % 8 else None,
+                         f"step {index}: {self.ops[index]}")
+            last = expected
+        for server in self.sides:
+            settle_at(server, end_time_of(self.ops))
+        self.compare(self.expected, None, "end")
+        for config, server in zip(self.configs, self.sides):
+            if isinstance(config, Crashes):
+                assert all(plan.spent for plan in config.plans), \
+                    [plan.describe() for plan in config.plans]
+            if isinstance(server, ClusterServer):
+                if server.bus.coalesce:
+                    assert server.stats().coalesced > 0, "nothing coalesced"
+                if len(server.shards) > 1 and len(self.homes) > 1 and \
+                        not isinstance(config, Crashes):
+                    assert server.stats().mirrored > 0, "no mirrored write"
+        return self
+
+    def compare(self, expected, last, context):
+        """Compare every side with what the oracle showed.  A read from a
+        worker process is a round trip, so given the ``last`` step's
+        observation a worker side reads only the rules and devices the
+        oracle changed since then; every eighth step and the end read
+        them all."""
         for index, server in enumerate(self.sides):
             want = expected
             if isinstance(server, ClusterServer):
+                if server.backend == "process" and last is not None:
+                    want = changes(expected, last)
                 if server.bus.coalesce:
                     want = dict(want, traces={})
-                if server.backend == "process":
-                    want = observe(self.oracle, self.homes, names, devices,
-                                   bool(want["traces"]))
             assert_equivalent(
                 observe(server, self.homes, list(want["truth"]),
                         list(want["holders"]), bool(want["traces"])),
                 want, f"side {index}, {context}")
-        return expected
 
     def shutdown(self):
-        for server in [self.oracle, *self.sides]:
+        for server in self.sides:
             server.shutdown()
 
 
 def judge(ops, *configs, homes=(HOME,)):
-    """Run one life through ``configs`` beside the oracle; returns the
-    judge after shutting every server down."""
+    """Run one life through ``configs``, each held to the oracle;
+    returns the judge after shutting every side down."""
     twin = Judge(ops, *configs, homes=homes)
     try:
         return twin.run()
