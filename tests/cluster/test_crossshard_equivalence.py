@@ -10,17 +10,19 @@ oracle serves every home from one ``incremental=False`` engine, where
 home-prefixed variables are just names, and scopes home events through
 ``post_event(only=…)`` to the rules the cluster wakes.  Shards run the
 wheel-aware adaptive tick schedule while the oracle ticks every 60 s,
-so trace equality also pins adaptive ticks as trace-invisible.
+so trace equality also pins adaptive ticks as trace-invisible; the
+trace-exact lives cross two midnights.
 """
 
 import pytest
 
-from tests.life import HOMES, cluster, judge, script
+from repro.sim.clock import SECONDS_PER_DAY
+from tests.life import HOMES, JUMPS, LONG_JUMPS, cluster, judge, script
 
 
-def life(seed):
-    return script(seed, HOMES, steps=80, ckpt_every=None, churn=True,
-                  toggles=True)
+def life(seed, steps=80, jumps=JUMPS):
+    return script(seed, HOMES, steps, ckpt_every=None, churn=True,
+                  toggles=True, jumps=jumps)
 
 
 @pytest.mark.parametrize("seed", (7, 20260730))
@@ -35,6 +37,11 @@ def test_cluster_with_cross_home_rules_matches_merged_oracle(
 
 @pytest.mark.parametrize("seed", (7, 20260730))
 def test_cross_home_traces_match_without_coalescing(seed):
-    """Coalescing off: each anchor home's trace slice, the lobby's
-    included, equals the oracle's entry for entry."""
-    judge(life(seed), cluster(shard_count=4), homes=HOMES)
+    """Coalescing off, over a life that advances hours at a time across
+    two midnights: each anchor home's trace slice, the lobby's
+    included, equals the oracle's entry for entry, so the shards'
+    adaptive ticks sleep across window boundaries, midnight and weekday
+    rollovers without a visible trace difference."""
+    ops = life(seed, steps=110, jumps=LONG_JUMPS)
+    assert ops[-1][0] > 2 * SECONDS_PER_DAY
+    judge(ops, cluster(shard_count=4), homes=HOMES)

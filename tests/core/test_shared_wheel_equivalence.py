@@ -5,10 +5,12 @@
   columnar state.  (The id names a deleted clause-sharing ablation.)
 * The **wheel** lives advance hours at a time across several
   midnights, so windows off the tick grid, across midnight and on a
-  weekday open and close under the fast path's wheel while the oracle
-  re-evaluates every clock reader each tick.  ``ablation`` keeps the id
-  it had when it named a deleted ablation; it now holds the engine's
-  keyword arguments: none, the default fast path.
+  weekday open and close under the fast path's wheel, and a window
+  inside a duration and a clock-reading ``until`` are re-examined on
+  every tick, while the oracle re-evaluates every clock reader each
+  tick.  ``ablation`` keeps the id it had when it named a deleted
+  ablation; it now holds the engine's keyword arguments: none, the
+  default fast path.
 """
 
 import pytest
